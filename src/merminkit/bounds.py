@@ -4,16 +4,22 @@ Observables are parameterized by real unit 3-vectors in the Pauli basis
 (X = x1 s1 + x2 s2 + x3 s3), which makes them Hermitian and unitary at once.
 This module is deliberately dense-matrix based so that it forms a route
 independent of the symbolic algebra in :mod:`merminkit.pauli`.
+
+The maximizer works on the real tensor T of Pauli-word expectations, in
+which mu is multilinear in the per-qubit z_a = x_a + i y_a: general settings
+are found by a batched see-saw over the qubits, uniform ones by a shifted
+power ascent on the symmetrized tensor.  Every reported value is the
+dense-matrix expectation at the setting found.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import permutations, product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .states import StateVector, dicke, ghz
 
@@ -153,6 +159,12 @@ def expectation(v: StateVector, setting: MeasurementSetting) -> float:
 # -- fast evaluation used by the optimizer -------------------------------------
 
 _EINSUM_SUBS = {3: "abc,a,b,c->", 4: "abcd,a,b,c,d->"}
+_LETTERS = "abcd"  # tensor axes, one per qubit
+_BRA, _KET = "ABCD", "EFGH"  # basis indices of the bra and ket, one per qubit
+
+SWEEP_CAP = 5000
+TOL_GAIN = 1e-15  # stop once no row gains more than this, relative to max |mu|
+TOL_BASIN = 1e-9  # rows this close to the best value count as basin hits
 
 
 def _pauli_expectation_tensor(v: StateVector) -> np.ndarray:
@@ -163,52 +175,86 @@ def _pauli_expectation_tensor(v: StateVector) -> np.ndarray:
     mu = Re T[j1..jn] z_{1,j1} ... z_{n,jn}.
     """
     n = v.n
-    norm = v.norm_sq
-    tensor = np.empty((3,) * n, dtype=float)
-    for letters in product(range(3), repeat=n):
-        word = np.eye(1, dtype=complex)
-        for j in letters:
-            word = np.kron(word, _PAULI[j])
-        value = complex(np.vdot(v.amps, word @ v.amps)) / norm
-        tensor[letters] = value.real
-    return tensor
+    psi = v.amps.reshape((2,) * n)
+    paulis = ",".join(_LETTERS[a] + _BRA[a] + _KET[a] for a in range(n))
+    subs = f"{_BRA[:n]},{paulis},{_KET[:n]}->{_LETTERS[:n]}"
+    tensor = np.einsum(subs, psi.conj(), *([_PAULI] * n), psi, optimize=True)
+    return tensor.real / v.norm_sq
 
 
-def _angles_to_vector(theta: float, phi: float) -> np.ndarray:
-    s = math.sin(theta)
-    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
+def _contract_except(tensor: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:
+    """Row-wise T contracted with every z[:, b] except b = a; shape (rows, 3)."""
+    rows = z.shape[0]
+    others = [b for b in range(z.shape[1]) if b != a]
+    # axis a moves last; the others are contracted front to back
+    out = z[:, others[0]] @ np.moveaxis(tensor, a, -1).reshape(3, -1)
+    for b in others[1:]:
+        out = (z[:, b, None, :] @ out.reshape(rows, 3, -1))[:, 0]
+    return out
 
 
-def _setting_from_angles(angles: np.ndarray, n: int, mode: str) -> MeasurementSetting:
-    if mode == "uniform":
-        x = _angles_to_vector(angles[0], angles[1])
-        y = _angles_to_vector(angles[2], angles[3])
-        return MeasurementSetting.uniform(n, x, y)
-    xs = [_angles_to_vector(angles[4 * a], angles[4 * a + 1]) for a in range(n)]
-    ys = [_angles_to_vector(angles[4 * a + 2], angles[4 * a + 3]) for a in range(n)]
-    return MeasurementSetting(np.array(xs), np.array(ys))
+def _random_units(rng: np.random.Generator, shape) -> np.ndarray:
+    """Seeded unit 3-vectors along the last axis, uniform on the sphere."""
+    draw = rng.standard_normal(shape)
+    return draw / np.linalg.norm(draw, axis=-1, keepdims=True)
 
 
-def _mu_of_angles(tensor: np.ndarray, angles: np.ndarray, n: int, mode: str) -> float:
-    zs = []
-    if mode == "uniform":
-        z = (_angles_to_vector(angles[0], angles[1])
-             + 1j * _angles_to_vector(angles[2], angles[3]))
-        zs = [z] * n
-    else:
-        for a in range(n):
-            zs.append(_angles_to_vector(angles[4 * a], angles[4 * a + 1])
-                      + 1j * _angles_to_vector(angles[4 * a + 2], angles[4 * a + 3]))
-    return float(np.real(np.einsum(_EINSUM_SUBS[n], tensor, *zs)))
+def _unit_or_keep(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Rows of ``new`` scaled to unit norm; a zero row keeps the ``old`` row."""
+    norm = np.linalg.norm(new, axis=-1, keepdims=True)
+    return np.where(norm > 0, new / np.where(norm > 0, norm, 1.0), old)
+
+
+def _symmetrized(tensor: np.ndarray) -> np.ndarray:
+    """Average of the tensor over all permutations of its axes."""
+    perms = list(permutations(range(tensor.ndim)))
+    return sum(tensor.transpose(p) for p in perms) / len(perms)
+
+
+def _seesaw_sweep(tensor, x, y, sign):
+    """One pass of exact per-qubit updates; returns sign * mu per row.
+
+    With the other qubits fixed, sign * mu = Re(c . x_a) - Im(c . y_a) for the
+    sign-scaled contraction c, which the unit vectors along Re c and -Im c
+    maximize at |Re c| + |Im c|.
+    """
+    for a in range(x.shape[1]):
+        c = sign[:, None] * _contract_except(tensor, x + 1j * y, a)
+        x[:, a] = _unit_or_keep(c.real, x[:, a])
+        y[:, a] = _unit_or_keep(-c.imag, y[:, a])
+    return np.linalg.norm(c.real, axis=1) + np.linalg.norm(c.imag, axis=1)
+
+
+def _power_sweep(tensor, x, y, sign, shift):
+    """One shifted power step on a symmetric tensor with z shared by all qubits.
+
+    Returns sign * mu per row at the setting the step started from; the
+    gradient of mu in (x, y) is (Re g, -Im g) with g = n T(z, ..., z, .).
+    """
+    n = x.shape[1]
+    z = x + 1j * y
+    c = sign[:, None] * _contract_except(tensor, z, n - 1)
+    value = np.einsum("rj,rj->r", c, z[:, -1]).real
+    x[:] = _unit_or_keep(n * c.real + shift * x[:, -1], x[:, -1])[:, None]
+    y[:] = _unit_or_keep(-n * c.imag + shift * y[:, -1], y[:, -1])[:, None]
+    return value
 
 
 @dataclass
 class BoundResult:
-    """Outcome of a maximization run over measurement settings."""
+    """Outcome of a maximization run over measurement settings.
+
+    ``starts`` is the number of starts per sign branch, ``sweeps`` the number
+    of ascent sweeps run, and ``basin_hits`` the number of rows (over both
+    branches) that ended within TOL_BASIN of the best value.
+    """
 
     value: float
     setting: MeasurementSetting
     target: float | None = None
+    starts: int | None = None
+    sweeps: int | None = None
+    basin_hits: int | None = None
 
     @property
     def gap(self) -> float | None:
@@ -222,53 +268,58 @@ def maximize(
     starts: int = 64,
     target: float | None = None,
 ) -> BoundResult:
-    """Largest |mu| over settings via seeded multi-start local optimization.
+    """Largest |mu| over settings via a batched, seeded multistart ascent.
 
-    Unit vectors are parameterized by spherical angles so the search is
-    unconstrained; both mu and -mu are maximized and the larger wins.  The
-    run is deterministic for a fixed seed; ties keep the earliest start.
+    Each of ``starts`` seeded random unit-vector starts runs once per sign
+    branch (maximizing mu and -mu), all as rows of one array.  General mode
+    is a see-saw: each qubit's (x, y) in turn jumps to its exact optimum with
+    the others fixed.  Uniform mode is a shifted power ascent on the
+    symmetrized tensor, so states that are not permutation symmetric are
+    handled too.  Sweeps stop when no row gains more than TOL_GAIN relative
+    to the largest |mu|, or at SWEEP_CAP.  The run is bit-deterministic for a
+    fixed seed; ties keep the earliest row.  The reported value is the
+    dense-matrix |mu| at the winning setting.
     """
     if mode not in ("uniform", "general"):
         raise ValueError(f"unknown mode {mode!r}")
     n = v.n
     if n not in (3, 4):
         raise ValueError(f"unsupported qubit count {n}; expected 3 or 4")
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     tensor = _pauli_expectation_tensor(v)
-    dim = 4 if mode == "uniform" else 4 * n
     rng = np.random.default_rng(seed)
-    raw = rng.random((2, starts, dim))
-    start_angles = np.empty_like(raw)
-    start_angles[..., 0::2] = np.arccos(2.0 * raw[..., 0::2] - 1.0)
-    start_angles[..., 1::2] = 2.0 * math.pi * raw[..., 1::2]
+    rows = 2 * starts
+    x = _random_units(rng, (rows, n, 3))
+    y = _random_units(rng, (rows, n, 3))
+    sign = np.repeat([1.0, -1.0], starts)
+    if mode == "uniform":
+        tensor = _symmetrized(tensor)
+        # bounds the Hessian of mu in (x, y) over |x|, |y| <= 1, where
+        # |z| <= sqrt(2): a shift this large makes every step an ascent
+        shift = n * (n - 1) * 2.0 ** ((n - 2) / 2) * float(np.linalg.norm(tensor))
+        x[:] = x[:, :1]
+        y[:] = y[:, :1]
+        sweep = partial(_power_sweep, tensor, x, y, sign, shift)
+    else:
+        sweep = partial(_seesaw_sweep, tensor, x, y, sign)
 
-    best_value = -math.inf
-    best_angles = None
-    for branch, sign in enumerate((1.0, -1.0)):
+    values = sweep()
+    sweeps = 1
+    while sweeps < SWEEP_CAP:
+        previous, values = values, sweep()
+        sweeps += 1
+        if np.max(values - previous) <= TOL_GAIN * max(1.0, np.max(np.abs(values))):
+            break
 
-        def objective(angles):
-            return -sign * _mu_of_angles(tensor, angles, n, mode)
-
-        coarse = []
-        for x0 in start_angles[branch]:
-            res = minimize(
-                objective, x0, method="Powell",
-                options={"maxiter": 4, "xtol": 1e-6, "ftol": 1e-9},
-            )
-            coarse.append(res)
-        coarse.sort(key=lambda r: r.fun)
-        for res in coarse[:4]:
-            polished = minimize(
-                objective, res.x, method="Powell",
-                options={"maxiter": 400, "xtol": 1e-12, "ftol": 1e-15},
-            )
-            if -polished.fun > best_value:
-                best_value = -polished.fun
-                best_angles = polished.x.copy()
-
-    setting = _setting_from_angles(best_angles, n, mode)
+    best = int(np.argmax(values))
+    setting = MeasurementSetting(x[best], y[best])
     # report the dense-matrix value at the winning setting
     value = abs(expectation(v, setting))
-    return BoundResult(value=value, setting=setting, target=target)
+    return BoundResult(
+        value=value, setting=setting, target=target, starts=starts, sweeps=sweeps,
+        basin_hits=int(np.count_nonzero(values >= values[best] - TOL_BASIN)),
+    )
 
 
 # -- closed forms for the uniform-setting Dicke expectations -------------------

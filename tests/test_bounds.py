@@ -274,6 +274,38 @@ class TestMaximize:
         with pytest.raises(ValueError):
             bd.maximize(ghz(3), mode="global")
 
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_starts_below_one_rejected(self, starts):
+        with pytest.raises(ValueError, match="starts"):
+            bd.maximize(ghz(3), mode="uniform", starts=starts)
+
+    @pytest.mark.parametrize("mode,starts",
+                             [("general", 16), ("uniform", 16), ("uniform", 1)])
+    def test_trust_signals(self, mode, starts):
+        result = bd.maximize(bd.bound_state("v41"), mode=mode, starts=starts)
+        assert result.starts == starts
+        assert result.sweeps >= 1
+        assert 1 <= result.basin_hits <= 2 * starts
+
+    @pytest.mark.parametrize("n,bound", [(3, 4.0), (4, 8.0)])
+    def test_non_symmetric_state(self, n, bound):
+        rng = np.random.default_rng(20261018 + n)
+        v = StateVector(n, rng.standard_normal(1 << n)
+                        + 1j * rng.standard_normal(1 << n))
+        uniform = bd.maximize(v, mode="uniform")
+        general = bd.maximize(v, mode="general")
+        # no sampled uniform setting may beat the uniform optimum
+        sampled = max(
+            abs(bd.expectation(v, bd.MeasurementSetting.uniform(
+                n, random_unit_vector(rng), random_unit_vector(rng))))
+            for _ in range(1000)
+        )
+        assert uniform.value >= sampled - 1e-9
+        assert general.value >= uniform.value - 1e-9
+        assert general.value <= bound + 1e-9
+        for result in (uniform, general):
+            assert result.value == abs(bd.expectation(v, result.setting))
+
 
 class TestFastPath:
     def test_tensor_contraction_matches_dense_expectation(self, rng):

@@ -123,6 +123,14 @@ class TestBounds:
         assert data["gap"] < 1e-6
         assert len(data["setting"]["x"]) == 4
 
+    def test_zero_starts_is_a_usage_error(self):
+        result = run_cli("bounds", "--state", "u3", "--starts", "0")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.strip().splitlines() == [
+            "merminkit: error: starts must be at least 1, got 0"
+        ]
+
 
 class TestContour:
     def test_writes_csv_and_summary(self, tmp_path):
@@ -154,6 +162,14 @@ class TestContour:
 
 
 class TestUsage:
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, merminkit.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_unknown_subcommand_exits_one(self):
         assert run_cli("frobnicate").returncode == 1
 

@@ -21,7 +21,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .states import StateVector, dicke, ghz
+from .states import StateVector, catalog_state
 
 TOL_UNIT = 1e-10
 DEFAULT_SEED = 0x4D45524D
@@ -35,7 +35,9 @@ _PAULI = np.array(
     dtype=complex,
 )
 
+# the catalog states with a known exact bound; built by states.catalog_state
 BOUND_STATE_IDS = ("u3", "u4", "v31", "v41", "v42")
+bound_state = catalog_state
 
 # exact optimum of |mu| over all settings, per catalog state
 EXACT_BOUNDS = {
@@ -49,22 +51,6 @@ EXACT_BOUNDS = {
 # optimal |x3|, |y3| for the W state; signs form the orbit (s*a, t*b)
 W_OPT_X3 = math.sqrt(3.0 * math.sqrt(41.0) - 13.0) / (3.0 * math.sqrt(2.0))
 W_OPT_Y3 = math.sqrt(5.0 * math.sqrt(41.0) - 27.0) / math.sqrt(6.0)
-
-
-def bound_state(state_id: str) -> StateVector:
-    if state_id == "u3":
-        return ghz(3)
-    if state_id == "u4":
-        return ghz(4)
-    if state_id == "v31":
-        return dicke(3, 1)
-    if state_id == "v41":
-        return dicke(4, 1)
-    if state_id == "v42":
-        return dicke(4, 2)
-    raise ValueError(
-        f"unknown state id {state_id!r}; expected one of {BOUND_STATE_IDS}"
-    )
 
 
 def _as_unit_rows(vectors, n: int, label: str) -> np.ndarray:
@@ -158,6 +144,7 @@ def expectation(v: StateVector, setting: MeasurementSetting) -> float:
 
 # -- fast evaluation used by the optimizer -------------------------------------
 
+# contraction of T with one z per qubit; tests check the tensor against it
 _EINSUM_SUBS = {3: "abc,a,b,c->", 4: "abcd,a,b,c,d->"}
 _LETTERS = "abcd"  # tensor axes, one per qubit
 _BRA, _KET = "ABCD", "EFGH"  # basis indices of the bra and ket, one per qubit
@@ -325,15 +312,18 @@ def maximize(
 # -- closed forms for the uniform-setting Dicke expectations -------------------
 
 
-def _mu_poly(state_id: str, x3: float, y3: float, d: float) -> float:
-    """Shared polynomial in (x3, y3, d) with d = x1 y1 + x2 y2."""
+def _mu_poly(state_id: str, x3, y3, d):
+    """Shared polynomial in (x3, y3, d) with d = x1 y1 + x2 y2; scalars or arrays."""
+    # products, not **: numpy's array pow can differ at y3 and -y3, which
+    # would break the exact mirror between the two sign branches
+    x2, y2 = x3 * x3, y3 * y3
     if state_id == "v31":
-        return -3.0 * x3**3 + 5.0 * x3 * y3**2 - 4.0 * d * y3
+        return -3.0 * x2 * x3 + 5.0 * x3 * y2 - 4.0 * d * y3
     if state_id == "v41":
-        return -4.0 * (x3**4 + y3**4) + 12.0 * x3**2 * y3**2 - 12.0 * d * x3 * y3
+        return -4.0 * (x2 * x2 + y2 * y2) + 12.0 * x2 * y2 - 12.0 * d * x3 * y3
     if state_id == "v42":
-        return (6.0 * (x3**4 + y3**4) - 16.0 * x3**2 * y3**2
-                - 4.0 * d**2 + 16.0 * d * x3 * y3)
+        return (6.0 * (x2 * x2 + y2 * y2) - 16.0 * x2 * y2
+                - 4.0 * d * d + 16.0 * d * x3 * y3)
     raise ValueError(f"no closed form for state {state_id!r}")
 
 
@@ -350,18 +340,24 @@ def restricted_mu(state_id: str, x, y) -> float:
     return _mu_poly(state_id, float(x[2]), float(y[2]), d)
 
 
-def collinear_mu(state_id: str, sign: int, x3: float, y3: float) -> float:
+def collinear_mu(state_id: str, sign: int, x3, y3):
     """Expectation with the in-plane projections of x and y collinear.
 
     The substitution d = sign * sqrt(1-x3^2) sqrt(1-y3^2) reduces the closed
-    form to a two-variable landscape on [-1, 1]^2.
+    form to a two-variable landscape on [-1, 1]^2.  ``x3`` and ``y3`` may be
+    scalars or arrays of one shape.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if abs(x3) > 1 or abs(y3) > 1:
+    if np.any(np.abs(x3) > 1) or np.any(np.abs(y3) > 1):
         raise ValueError("x3 and y3 must lie in [-1, 1]")
-    d = sign * math.sqrt(1.0 - x3 * x3) * math.sqrt(1.0 - y3 * y3)
+    d = sign * np.sqrt(1.0 - x3 * x3) * np.sqrt(1.0 - y3 * y3)
     return _mu_poly(state_id, x3, y3, d)
+
+
+def _grid_axis(resolution: int) -> np.ndarray:
+    """``resolution`` evenly spaced samples of [-1, 1], exactly symmetric."""
+    return (2.0 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
 
 
 @dataclass
@@ -375,18 +371,15 @@ class ContourGrid:
 
     @property
     def axis(self) -> np.ndarray:
-        r = self.resolution
-        return (2.0 * np.arange(r) - (r - 1)) / (r - 1)
+        return _grid_axis(self.resolution)
 
 
 def contour(state_id: str, sign: int, resolution: int) -> ContourGrid:
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    axis = (2.0 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
-    values = np.empty((resolution, resolution), dtype=float)
-    for i, x3 in enumerate(axis):
-        for j, y3 in enumerate(axis):
-            values[i, j] = collinear_mu(state_id, sign, x3, y3)
+    axis = _grid_axis(resolution)
+    values = collinear_mu(state_id, sign,
+                          *np.meshgrid(axis, axis, indexing="ij", sparse=True))
     return ContourGrid(state_id=state_id, sign=sign, resolution=resolution,
                        values=values)
 

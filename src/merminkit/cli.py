@@ -7,13 +7,13 @@ stderr.  Exit codes: 0 success, 1 usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from importlib import metadata
 
-from . import bounds, eigenops, instructional
+from . import bounds, eigenops, instructional, states
 from .pauli import _parse_coeff, parse_sum, render_sum
-from .states import dicke, ghz, sym_dicke
 
 
 def _version() -> str:
@@ -47,29 +47,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_STATE_BUILDERS = {
-    "ghz3": lambda coeffs: ghz(3),
-    "ghz4": lambda coeffs: ghz(4),
-    "v31": lambda coeffs: dicke(3, 1),
-    "v41": lambda coeffs: dicke(4, 1),
-    "v42": lambda coeffs: dicke(4, 2),
-    "v31~": lambda coeffs: sym_dicke(3, 1, coeffs),
-    "v41~": lambda coeffs: sym_dicke(4, 1, coeffs),
-    "v42~": lambda coeffs: sym_dicke(4, 2, coeffs),
-}
-
-
 def _parse_coeff_list(text: str | None):
     if text is None:
         return None
-    return [_parse_coeff(chunk) for chunk in text.split(",")]
+    coeffs = []
+    for chunk in text.split(","):
+        if chunk.strip() in ("", "+", "-"):
+            raise ValueError(f"missing coefficient in {text!r}")
+        coeff = _parse_coeff(chunk)
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"coefficient {chunk.strip()!r} is not finite")
+        coeffs.append(coeff)
+    return coeffs
 
 
 def _cmd_state(args) -> int:
-    builder = _STATE_BUILDERS.get(args.id)
-    if builder is None:
-        raise ValueError(f"unknown state id {args.id!r}")
-    state = builder(_parse_coeff_list(args.coeffs))
+    state = states.catalog_state(args.id, _parse_coeff_list(args.coeffs))
     emit(state.to_json_dict())
     return 0
 
@@ -107,26 +100,32 @@ def _cmd_identities(args) -> int:
     return 0
 
 
+def _read_system(path: str) -> instructional.InstructionalSystem:
+    """Equations from a JSON list of {expr, target[, poly]} objects."""
+    with open(path, "r", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, list) or not spec:
+        raise ValueError("system file must hold a non-empty JSON list of equations")
+    equations = []
+    for k, entry in enumerate(spec):
+        if not (isinstance(entry, dict) and isinstance(entry.get("expr"), str)
+                and type(entry.get("target")) is int
+                and isinstance(entry.get("poly"), (str, type(None)))):
+            raise ValueError(f"equation {k} needs a string 'expr', an integer "
+                             "'target' and an optional string 'poly'")
+        equations.append(instructional.Equation(
+            expr=parse_sum(entry["expr"]), target=entry["target"],
+            poly=entry.get("poly"),
+        ))
+    return instructional.InstructionalSystem(equations[0].expr.n, equations)
+
+
 def _cmd_instr(args) -> int:
+    if args.max_solutions < 0:
+        raise ValueError(f"max-solutions must be >= 0, got {args.max_solutions}")
     if args.system_file is not None:
-        with open(args.system_file, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        equations = [
-            instructional.Equation(
-                expr=parse_sum(entry["expr"]),
-                target=int(entry["target"]),
-                poly=entry.get("poly"),
-            )
-            for entry in spec
-        ]
-        system = instructional.InstructionalSystem(equations[0].expr.n, equations)
-        report = instructional.solve(system)
-        verdict = instructional.DeviceVerdict(
-            device=args.system_file,
-            explainable=report.count > 0,
-            report=report,
-            certificate=instructional.parity_certificate(system),
-        )
+        verdict = instructional.system_verdict(
+            args.system_file, _read_system(args.system_file))
     else:
         verdict = instructional.device_verdict(args.device)
     shown = verdict.report.solutions[: args.max_solutions]
@@ -189,14 +188,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="merminkit", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"merminkit {_version()}")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap on worker threads (compute paths are currently "
-                             "single-threaded; accepted for forward compatibility)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
     p = sub.add_parser("state", help="print a catalog state as JSON amplitudes")
-    p.add_argument("--id", required=True, choices=sorted(_STATE_BUILDERS))
+    p.add_argument("--id", required=True,
+                   choices=states.CATALOG_IDS + tuple(states.STATE_ALIASES))
     p.add_argument("--coeffs", help="comma-separated complex pair weights, "
                                     "e.g. '1,2+1i,5'")
     p.set_defaults(func=_cmd_state)

@@ -14,11 +14,15 @@ from itertools import product
 import numpy as np
 
 from .pauli import TOL_ALG, PauliSum, PauliWord, identity, sigma
-from .states import StateVector, ghz, is_exchange_symmetric, sym_dicke
+from .states import StateVector, catalog_state, is_exchange_symmetric
 
 TOL_RANK = 1e-9
 
 # -- named operators ----------------------------------------------------------
+
+# the six two-s2 words of four qubits, in candidate-word order
+_TAU4_WORDS = ((1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1),
+               (2, 1, 1, 2), (2, 1, 2, 1), (2, 2, 1, 1))
 
 _TAU4_I_WORDS = {
     1: ((1, 1, 2, 2), (2, 2, 1, 1)),
@@ -66,10 +70,7 @@ def tau3() -> PauliSum:
 
 
 def tau4() -> PauliSum:
-    return word_sum(
-        ((1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1),
-         (2, 1, 1, 2), (2, 1, 2, 1), (2, 2, 1, 1))
-    )
+    return word_sum(_TAU4_WORDS)
 
 
 def tau4_i(i: int) -> PauliSum:
@@ -222,48 +223,28 @@ def in_span(op: PauliSum, basis: EigenBasis, tol: float = 1e-9) -> bool:
 
 # -- the catalog of known rows ------------------------------------------------
 
-STATE_IDS = ("u3", "v31~", "u4", "v41~", "v42~")
-
-
-def catalog_state(state_id: str, coeffs=None) -> StateVector:
-    if state_id == "u3":
-        return ghz(3)
-    if state_id == "u4":
-        return ghz(4)
-    if state_id == "v31~":
-        return sym_dicke(3, 1, coeffs)
-    if state_id == "v41~":
-        return sym_dicke(4, 1, coeffs)
-    if state_id == "v42~":
-        return sym_dicke(4, 2, coeffs)
-    raise ValueError(f"unknown state id {state_id!r}; expected one of {STATE_IDS}")
+# hard-coded (operators, eigenvalues) rows, keyed by states.catalog_state ids
+_CATALOG_ROWS = {
+    "u3": lambda: ([sigma(1, 1, 1)] + [sigma(*w) for w in GHZ3_FACTOR_WORDS],
+                   [1.0, -1.0, -1.0, -1.0]),
+    "v31~": lambda: ([sigma(1, 1, 1), tau3()], [1.0, 1.0]),
+    "u4": lambda: ([sigma(1, 1, 1, 1)] + [sigma(*w) for w in _TAU4_WORDS]
+                   + [sigma(2, 2, 2, 2)], [1.0] + [-1.0] * 6 + [1.0]),
+    "v41~": lambda: ([sigma(1, 1, 1, 1)] + [tau4_i(i) for i in (1, 2, 3)]
+                     + [sigma(2, 2, 2, 2)], [1.0, 0.0, 0.0, 0.0, -1.0]),
+    "v42~": lambda: ([sigma(1, 1, 1, 1)]
+                     + [tau4_ij(i, j) for i in (1, 2, 3, 4) for j in (1, 2)]
+                     + [sigma(2, 2, 2, 2)], [1.0] * 10),
+}
+STATE_IDS = tuple(_CATALOG_ROWS)
 
 
 def catalog_basis(state_id: str, coeffs=None) -> EigenBasis:
     """The hard-coded commuting eigenoperator set for a catalog state."""
+    if state_id not in _CATALOG_ROWS:
+        raise ValueError(f"no catalog row for {state_id!r}; known rows: {STATE_IDS}")
     state = catalog_state(state_id, coeffs)
-    if state_id == "u3":
-        ops = [sigma(1, 1, 1), sigma(1, 2, 2), sigma(2, 1, 2), sigma(2, 2, 1)]
-        gammas = [1.0, -1.0, -1.0, -1.0]
-    elif state_id == "v31~":
-        ops = [sigma(1, 1, 1), tau3()]
-        gammas = [1.0, 1.0]
-    elif state_id == "u4":
-        ops = [
-            sigma(1, 1, 1, 1),
-            sigma(1, 1, 2, 2), sigma(1, 2, 1, 2), sigma(1, 2, 2, 1),
-            sigma(2, 1, 1, 2), sigma(2, 1, 2, 1), sigma(2, 2, 1, 1),
-            sigma(2, 2, 2, 2),
-        ]
-        gammas = [1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0]
-    elif state_id == "v41~":
-        ops = [sigma(1, 1, 1, 1), tau4_i(1), tau4_i(2), tau4_i(3), sigma(2, 2, 2, 2)]
-        gammas = [1.0, 0.0, 0.0, 0.0, -1.0]
-    else:  # v42~
-        ops = [sigma(1, 1, 1, 1)]
-        ops += [tau4_ij(i, j) for i in (1, 2, 3, 4) for j in (1, 2)]
-        ops += [sigma(2, 2, 2, 2)]
-        gammas = [1.0] * 10
+    ops, gammas = _CATALOG_ROWS[state_id]()
     return EigenBasis(state=state, operators=ops, eigenvalues=gammas)
 
 
@@ -303,9 +284,8 @@ def verify_identities() -> list[IdentityCheck]:
         )
         add(name, s2222, -1.0 * (p * q * r))
 
-    two_s2_words = [w for w in candidate_words(4) if w.count(2) == 2]
     prod = identity(4)
-    for w in two_s2_words:
+    for w in _TAU4_WORDS:
         prod = prod * sigma(*w)
     add("s(1,1,1,1)*s(2,2,2,2) == product of all six two-s2 words",
         s1111 * s2222, prod)

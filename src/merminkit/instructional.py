@@ -117,13 +117,8 @@ def evaluate(expr: PauliSum, assignment: Assignment) -> int:
     """Value of an s1/s2 word sum under an instructional set."""
     if expr.n != assignment.n:
         raise ValueError(f"qubit counts differ: {expr.n} != {assignment.n}")
-    total = 0
-    for coeff, letters in _monomials_of(expr):
-        prod = 1
-        for a, j in enumerate(letters):
-            prod *= assignment.xi[a] if j == 1 else assignment.eta[a]
-        total += coeff * prod
-    return total
+    signs = np.array([assignment.xi + assignment.eta], dtype=np.int64)
+    return int(_values_block(expr, signs, expr.n)[0])
 
 
 def _values_block(expr: PauliSum, signs: np.ndarray, n: int) -> np.ndarray:
@@ -301,13 +296,17 @@ def device_system(device_id: str) -> InstructionalSystem:
         ) from None
 
 
-def device_verdict(device_id: str) -> DeviceVerdict:
-    """Solve a built-in device system; explainable iff any assignment works."""
-    system = device_system(device_id)
+def system_verdict(label: str, system: InstructionalSystem) -> DeviceVerdict:
+    """Solve a system; explainable iff any assignment works."""
     report = solve(system)
     return DeviceVerdict(
-        device=device_id,
+        device=label,
         explainable=report.count > 0,
         report=report,
         certificate=parity_certificate(system),
     )
+
+
+def device_verdict(device_id: str) -> DeviceVerdict:
+    """The verdict for a built-in device system."""
+    return system_verdict(device_id, device_system(device_id))

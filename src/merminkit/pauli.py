@@ -46,6 +46,17 @@ def _unpack(key: int, n: int) -> tuple[int, ...]:
     return tuple((key >> (2 * (n - 1 - a))) & 3 for a in range(n))
 
 
+def _letter_product(la, lb) -> tuple[list[int], complex]:
+    """Letters and phase of the word product ``s_la * s_lb``."""
+    letters = []
+    phase = 1.0 + 0j
+    for p, q in zip(la, lb):
+        letter, factor = _MUL[(p, q)]
+        letters.append(letter)
+        phase *= factor
+    return letters, phase
+
+
 @dataclass(frozen=True)
 class PauliWord:
     """A single tensor word ``coeff * s_{j1} x ... x s_{jn}``."""
@@ -91,13 +102,8 @@ class PauliWord:
     def __mul__(self, other: "PauliWord") -> "PauliWord":
         if self.n != other.n:
             raise ValueError(f"qubit counts differ: {self.n} != {other.n}")
-        coeff = self.coeff * other.coeff
-        letters = []
-        for p, q in zip(self.letters, other.letters):
-            letter, phase = _MUL[(p, q)]
-            letters.append(letter)
-            coeff *= phase
-        return PauliWord(tuple(letters), coeff)
+        letters, phase = _letter_product(self.letters, other.letters)
+        return PauliWord(tuple(letters), self.coeff * other.coeff * phase)
 
 
 class PauliSum:
@@ -189,18 +195,13 @@ class PauliSum:
         self._check_n(other)
         acc: dict[int, complex] = {}
         n = self.n
+        right = [(_unpack(kb, n), cb) for kb, cb in other._terms.items()]
         for ka, ca in self._terms.items():
             la = _unpack(ka, n)
-            for kb, cb in other._terms.items():
-                lb = _unpack(kb, n)
-                coeff = ca * cb
-                letters = []
-                for p, q in zip(la, lb):
-                    letter, phase = _MUL[(p, q)]
-                    letters.append(letter)
-                    coeff *= phase
+            for lb, cb in right:
+                letters, phase = _letter_product(la, lb)
                 key = _pack(letters)
-                acc[key] = acc.get(key, 0j) + coeff
+                acc[key] = acc.get(key, 0j) + ca * cb * phase
         return PauliSum(n, acc)
 
     def __eq__(self, other) -> bool:

@@ -143,6 +143,34 @@ def sym_dicke(n: int, m: int, coeffs: Sequence[complex] | None = None) -> StateV
     return StateVector(n, amps)
 
 
+# The paper's state catalog: u = GHZ, v<n><m> = Dicke, a trailing ~ marks the
+# symmetrized Dicke family, the only one that takes pair weights.  Builders
+# resolve the constructors by global name at call time.
+_CATALOG = {
+    "u3": lambda coeffs: ghz(3),
+    "u4": lambda coeffs: ghz(4),
+    "v31": lambda coeffs: dicke(3, 1),
+    "v41": lambda coeffs: dicke(4, 1),
+    "v42": lambda coeffs: dicke(4, 2),
+    "v31~": lambda coeffs: sym_dicke(3, 1, coeffs),
+    "v41~": lambda coeffs: sym_dicke(4, 1, coeffs),
+    "v42~": lambda coeffs: sym_dicke(4, 2, coeffs),
+}
+CATALOG_IDS = tuple(_CATALOG)
+STATE_ALIASES = {"ghz3": "u3", "ghz4": "u4"}
+
+
+def catalog_state(state_id: str, coeffs=None) -> StateVector:
+    """Build a catalog state by id or alias; only ``~`` ids accept ``coeffs``."""
+    key = STATE_ALIASES.get(state_id, state_id)
+    if key not in _CATALOG:
+        raise ValueError(f"unknown state id {state_id!r}; expected one of "
+                         f"{CATALOG_IDS + tuple(STATE_ALIASES)}")
+    if coeffs is not None and not key.endswith("~"):
+        raise ValueError(f"state {state_id!r} takes no coefficients")
+    return _CATALOG[key](coeffs)
+
+
 def exchange_flip(v: StateVector) -> StateVector:
     """Move the amplitude at each basis word to its e1<->e2 complement."""
     mask = (1 << v.n) - 1

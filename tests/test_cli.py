@@ -161,6 +161,39 @@ class TestContour:
         assert np.array_equal(grid_of(out_minus), grid_of(out_plus)[:, ::-1])
 
 
+@pytest.mark.parametrize("argv,system", [
+    (["state", "--id", "ghz3", "--coeffs", "1,2"], None),
+    (["eigenops", "--state", "u3", "--coeffs", "1"], None),
+    (["state", "--id", "v31~", "--coeffs", "1,,2"], None),
+    (["state", "--id", "v31~", "--coeffs", " "], None),
+    (["state", "--id", "v31~", "--coeffs=-,+,1"], None),
+    (["state", "--id", "v31~", "--coeffs", "nan,1,1"], None),
+    (["state", "--id", "v31~", "--coeffs", "inf,1,1"], None),
+    (["state", "--id", "v31~", "--coeffs", "1e999,1,1"], None),
+    (["instr", "--device", "u3", "--max-solutions", "-1"], None),
+    (["instr", "--system-file"], []),
+    (["instr", "--system-file"], {"expr": "s(1,1,1)", "target": 1}),
+    (["instr", "--system-file"], [{"expr": "s(1,1,1)"}]),
+    (["instr", "--system-file"], [{"target": 1}]),
+    (["instr", "--system-file"], [{"expr": "s(1,1,1)", "target": None}]),
+    (["instr", "--system-file"], [{"expr": "s(1,1,1)", "target": 1, "poly": [3]}]),
+    (["instr", "--system-file"], [7]),
+], ids=["ghz3-coeffs", "u3-coeffs", "empty-chunk", "blank-coeffs", "sign-only",
+        "nan", "inf", "overflow", "negative-max-solutions", "empty-system",
+        "system-not-a-list", "no-target", "no-expr", "null-target", "list-poly",
+        "entry-not-an-object"])
+def test_bad_input_exits_one_with_one_line(tmp_path, argv, system):
+    if system is not None:
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        argv = argv + [str(path)]
+    result = run_cli(*argv)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+
+
 class TestUsage:
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, merminkit.cli; "

@@ -5,8 +5,11 @@ from math import comb
 import numpy as np
 import pytest
 
+from merminkit import bounds, eigenops
 from merminkit.states import (
+    CATALOG_IDS,
     StateVector,
+    catalog_state,
     dicke,
     exchange_flip,
     ghz,
@@ -133,6 +136,30 @@ class TestSymDicke:
             sym_dicke(4, 3)
         with pytest.raises(ValueError):
             sym_coeff_count(5, 1)
+
+
+class TestCatalog:
+    def test_every_id_and_alias_builds(self):
+        expected = {
+            "u3": ghz(3), "u4": ghz(4), "ghz3": ghz(3), "ghz4": ghz(4),
+            "v31": dicke(3, 1), "v41": dicke(4, 1), "v42": dicke(4, 2),
+            "v31~": sym_dicke(3, 1), "v41~": sym_dicke(4, 1), "v42~": sym_dicke(4, 2),
+        }
+        assert set(CATALOG_IDS) | {"ghz3", "ghz4"} == set(expected)
+        for state_id, state in expected.items():
+            assert catalog_state(state_id) == state, state_id
+        for alias, state_id in (("ghz3", "u3"), ("ghz4", "u4")):
+            assert np.array_equal(catalog_state(alias).amps,
+                                  catalog_state(state_id).amps)
+        assert catalog_state("v42~", (1, 2, 3)) == sym_dicke(4, 2, (1, 2, 3))
+        for bad_id, coeffs in (("u5", None), ("ghz3", (1, 2)), ("v31", (1, 1, 1))):
+            with pytest.raises(ValueError):
+                catalog_state(bad_id, coeffs)
+        # the per-module names are the one catalog, restricted to their rows
+        assert eigenops.catalog_state is bounds.bound_state is catalog_state
+        assert set(eigenops.STATE_IDS) | set(bounds.BOUND_STATE_IDS) <= set(CATALOG_IDS)
+        with pytest.raises(ValueError):
+            eigenops.catalog_basis("v31")
 
 
 class TestExchangeFlip:

@@ -40,10 +40,9 @@ def emit(payload: dict) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on usage errors; we reserve 2."""
+    """Usage errors exit 1 with one stderr line; argparse's exit 2 is reserved."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

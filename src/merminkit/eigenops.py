@@ -8,6 +8,7 @@ which is what makes the eigenproblem a small linear system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -116,7 +117,7 @@ def f4(t: PauliSum) -> PauliSum:
 def candidate_words(n: int) -> list[tuple[int, ...]]:
     """All letter patterns over {s1, s2} with an even number of s2 factors.
 
-    Sorted lexicographically, which coincides with packed-integer order.
+    Sorted lexicographically, the order ``PauliSum.terms`` uses.
     """
     return [
         letters
@@ -181,18 +182,22 @@ def eigen_basis(v: StateVector) -> EigenBasis:
     vectors c with A c parallel to v (kernel of A projected orthogonal to v),
     and reads each eigenvalue off as <v, A c> / <v, v>.  The returned basis is
     the reduced row-echelon form of the solution space over the candidate
-    word ordering, so it is deterministic.
+    word ordering, so it is deterministic.  The solve runs on v times the
+    power of two that brings its largest amplitude into [0.5, 1): that
+    factor is exact, so the absolute ``TOL_RANK`` decides rank the same way
+    at every scale.
     """
-    if not is_exchange_symmetric(v, tol=TOL_ALG * max(1.0, float(np.max(np.abs(v.amps))))):
+    top = float(np.max(np.abs(v.amps)))
+    if not is_exchange_symmetric(v, tol=TOL_ALG * top):
         raise ValueError("state is not symmetric under the e1<->e2 exchange")
     if v.norm_sq == 0:
         raise ValueError("state is identically zero")
     n = v.n
+    u = StateVector(n, v.amps * 2.0 ** -math.frexp(top)[1])
     words = candidate_words(n)
-    columns = [sigma(*w).apply(v).amps for w in words]
-    a = np.column_stack(columns)
-    overlap = v.amps.conj() @ a / v.norm_sq
-    b = a - np.outer(v.amps, overlap)
+    a = np.column_stack([sigma(*w).apply(u).amps for w in words])
+    overlap = u.amps.conj() @ a / u.norm_sq
+    b = a - np.outer(u.amps, overlap)
     kernel = _null_space(b, TOL_RANK)
     # kernels of valid inputs are real spans; drop roundoff dust
     kernel = np.where(np.abs(kernel.imag) <= TOL_RANK, kernel.real, kernel)

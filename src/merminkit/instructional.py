@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PauliSum, word_key
 from . import eigenops
 
 _CHUNK = 1 << 18  # assignments processed per numpy block
@@ -125,11 +125,8 @@ def _values_block(expr: PauliSum, signs: np.ndarray, n: int) -> np.ndarray:
     """Vectorized evaluate over a block of assignments (rows of +-1 signs)."""
     total = np.zeros(signs.shape[0], dtype=np.int64)
     for coeff, letters in _monomials_of(expr):
-        prod = np.ones(signs.shape[0], dtype=np.int64)
-        for a, j in enumerate(letters):
-            col = a if j == 1 else n + a
-            prod *= signs[:, col]
-        total += coeff * prod
+        cols = [a if j == 1 else n + a for a, j in enumerate(letters)]
+        total += coeff * signs[:, cols].prod(axis=1)
     return total
 
 
@@ -156,11 +153,11 @@ def solve(system: InstructionalSystem) -> SolveReport:
                 mask &= _POLY_CHECKS[eq.poly](values, eq.target)
             if not mask.any():
                 break
-        for index in indices[mask]:
-            a = Assignment.from_index(int(index), n)
-            solutions.append(a)
-            xi_prod.append(int(np.prod(a.xi)))
-            eta_prod.append(int(np.prod(a.eta)))
+        hits = signs[mask]
+        solutions.extend(Assignment(tuple(row[:n]), tuple(row[n:]))
+                         for row in hits.tolist())
+        xi_prod.extend(hits[:, :n].prod(axis=1).tolist())
+        eta_prod.extend(hits[:, n:].prod(axis=1).tolist())
     return SolveReport(
         solutions=solutions,
         count=len(solutions),
@@ -176,48 +173,32 @@ def parity_certificate(system: InstructionalSystem) -> list[int] | None:
     no such subset exists or when some equation is not a single monomial.
     """
     n = system.n
-    exponents = []
-    negatives = []
+    rows = []
     for eq in system.equations:
         monomials = _monomials_of(eq.expr)
-        if eq.poly is not None or len(monomials) != 1 or monomials[0][0] not in (-1, 1):
-            return None
-        if eq.target not in (-1, 1):
+        if (eq.poly is not None or eq.target not in (-1, 1)
+                or len(monomials) != 1 or monomials[0][0] not in (-1, 1)):
             return None
         coeff, letters = monomials[0]
-        vec = np.zeros(2 * n, dtype=np.int8)
-        for a, j in enumerate(letters):
-            vec[a if j == 1 else n + a] ^= 1
-        exponents.append(vec)
-        negatives.append(1 if eq.target * coeff == -1 else 0)
-    e = np.array(exponents, dtype=np.int8)
-    t = np.array(negatives, dtype=np.int8)
-    # kernel of e^T over GF(2): subsets whose combined exponents all vanish
-    m = e.T.copy() % 2
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(m[r:, c])[0]
-        if len(hits) == 0:
-            continue
-        p = r + int(hits[0])
-        m[[r, p]] = m[[p, r]]
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] ^= m[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
-        x = np.zeros(cols, dtype=np.int8)
-        x[fc] = 1
-        for row, pc in enumerate(pivots):
-            x[pc] = m[row, fc]
-        if int(x @ t) % 2 == 1:
-            return [int(i) for i in np.nonzero(x)[0]]
+        x, z = word_key(letters)
+        # xi exponents sit at the s1 positions x ^ z, eta exponents at z
+        rows.append(((x ^ z) << n | z, eq.target * coeff == -1))
+    # Incremental elimination, keyed by leading bit.  Each reduced row keeps
+    # the equations it combines and the parity of their negative signs; the
+    # first equation that reduces to zero with odd parity closes a certificate.
+    reduced: dict[int, tuple[int, int, bool]] = {}
+    for k, (vec, odd) in enumerate(rows):
+        used = 1 << k
+        while vec:
+            lead = vec.bit_length() - 1
+            if lead not in reduced:
+                reduced[lead] = (vec, used, odd)
+                break
+            row_vec, row_used, row_odd = reduced[lead]
+            vec, used, odd = vec ^ row_vec, used ^ row_used, odd ^ row_odd
+        else:
+            if odd:
+                return [i for i in range(k + 1) if used >> i & 1]
     return None
 
 

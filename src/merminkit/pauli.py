@@ -9,7 +9,12 @@ practice.  ``TOL_ALG`` only guards zero pruning.
 
 Letter codes: 0 = identity, 1..3 = the three Pauli matrices.  Basis vectors
 of n qubits are indexed by packed integers with qubit 1 in the most
-significant bit and e1 -> bit 0, e2 -> bit 1.
+significant bit and e1 -> bit 0, e2 -> bit 1.  A word is stored as the pair
+``(x, z)`` of n-bit masks laid out the same way, with I = (0, 0),
+s1 = (1, 0), s2 = (1, 1), s3 = (0, 1) per qubit, i.e. ``i^|x&z| X^x Z^z``
+(Aaronson & Gottesman, PRA 70, 052328, 2004): a product is an XOR of masks
+times a power of i counted by popcounts, and the word sends basis index
+``k`` to ``k ^ x`` with phase ``i^|x&z| (-1)^|z&k|``.
 """
 
 from __future__ import annotations
@@ -24,37 +29,34 @@ from .states import StateVector
 
 TOL_ALG = 1e-12
 
-# single-qubit multiplication table: (p, q) -> (letter, phase)
-_MUL: dict[tuple[int, int], tuple[int, complex]] = {}
-for _p in range(4):
-    _MUL[(0, _p)] = (_p, 1.0 + 0j)
-    _MUL[(_p, 0)] = (_p, 1.0 + 0j)
-    _MUL[(_p, _p)] = (0, 1.0 + 0j)
-for _a, _b, _c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-    _MUL[(_a, _b)] = (_c, 1j)
-    _MUL[(_b, _a)] = (_c, -1j)
+# per-qubit code x | z << 1 of each letter; the map is its own inverse
+_CODE = (0, 1, 3, 2)
+_I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
-def _pack(letters: Iterable[int]) -> int:
-    key = 0
+def word_key(letters: Iterable[int]) -> tuple[int, int]:
+    """The ``(x, z)`` bitmask pair of a letter pattern."""
+    x = z = 0
     for letter in letters:
-        key = (key << 2) | letter
-    return key
+        code = _CODE[letter]
+        x = (x << 1) | (code & 1)
+        z = (z << 1) | (code >> 1)
+    return x, z
 
 
-def _unpack(key: int, n: int) -> tuple[int, ...]:
-    return tuple((key >> (2 * (n - 1 - a))) & 3 for a in range(n))
+def _key_letters(key: tuple[int, int], n: int) -> tuple[int, ...]:
+    """The letter pattern of an ``(x, z)`` pair on n qubits."""
+    x, z = key
+    return tuple(_CODE[(x >> b & 1) | (z >> b & 1) << 1] for b in range(n - 1, -1, -1))
 
 
-def _letter_product(la, lb) -> tuple[list[int], complex]:
-    """Letters and phase of the word product ``s_la * s_lb``."""
-    letters = []
-    phase = 1.0 + 0j
-    for p, q in zip(la, lb):
-        letter, factor = _MUL[(p, q)]
-        letters.append(letter)
-        phase *= factor
-    return letters, phase
+def _product(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[tuple[int, int], complex]:
+    """Key and phase of the word product ``s_a * s_b``."""
+    (xa, za), (xb, zb) = ka, kb
+    xc, zc = xa ^ xb, za ^ zb
+    power = ((xa & za).bit_count() + (xb & zb).bit_count()
+             - (xc & zc).bit_count() + 2 * (za & xb).bit_count())
+    return (xc, zc), _I_POW[power % 4]
 
 
 @dataclass(frozen=True)
@@ -82,28 +84,17 @@ class PauliWord:
         Single-letter action: s1 swaps e1/e2; s2 swaps with phases +-i
         (e1 -> i e2, e2 -> -i e1); s3 keeps the vector, negating e2.
         """
-        n = self.n
-        if not 0 <= index < (1 << n):
-            raise ValueError(f"basis index {index} out of range for {n} qubits")
-        phase = self.coeff
-        out = index
-        for a, letter in enumerate(self.letters):
-            bit_pos = n - 1 - a
-            bit = (index >> bit_pos) & 1
-            if letter == 1:
-                out ^= 1 << bit_pos
-            elif letter == 2:
-                out ^= 1 << bit_pos
-                phase *= -1j if bit else 1j
-            elif letter == 3 and bit:
-                phase = -phase
-        return phase, out
+        if not 0 <= index < (1 << self.n):
+            raise ValueError(f"basis index {index} out of range for {self.n} qubits")
+        x, z = word_key(self.letters)
+        power = (x & z).bit_count() + 2 * (z & index).bit_count()
+        return self.coeff * _I_POW[power % 4], index ^ x
 
     def __mul__(self, other: "PauliWord") -> "PauliWord":
         if self.n != other.n:
             raise ValueError(f"qubit counts differ: {self.n} != {other.n}")
-        letters, phase = _letter_product(self.letters, other.letters)
-        return PauliWord(tuple(letters), self.coeff * other.coeff * phase)
+        key, phase = _product(word_key(self.letters), word_key(other.letters))
+        return PauliWord(_key_letters(key, self.n), self.coeff * other.coeff * phase)
 
 
 class PauliSum:
@@ -111,11 +102,11 @@ class PauliSum:
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: dict[int, complex] | None = None):
+    def __init__(self, n: int, terms: dict[tuple[int, int], complex] | None = None):
         if n < 1:
             raise ValueError("qubit count must be >= 1")
         self.n = n
-        self._terms: dict[int, complex] = {}
+        self._terms: dict[tuple[int, int], complex] = {}
         if terms:
             for key, coeff in terms.items():
                 if abs(coeff) > TOL_ALG:
@@ -131,29 +122,27 @@ class PauliSum:
         if not words:
             raise ValueError("cannot infer qubit count from an empty word list")
         n = words[0].n
-        acc: dict[int, complex] = {}
+        acc: dict[tuple[int, int], complex] = {}
         for w in words:
             if w.n != n:
                 raise ValueError(f"qubit counts differ: {w.n} != {n}")
-            key = _pack(w.letters)
+            key = word_key(w.letters)
             acc[key] = acc.get(key, 0j) + w.coeff
         return cls(n, acc)
 
     # -- views -------------------------------------------------------------
 
     def words(self) -> list[PauliWord]:
-        """Terms as words, sorted by packed letter pattern."""
-        return [
-            PauliWord(_unpack(key, self.n), coeff)
-            for key, coeff in sorted(self._terms.items())
-        ]
+        """Terms as words, sorted by letter pattern."""
+        return [PauliWord(letters, coeff) for letters, coeff in self.terms()]
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], complex]]:
-        for key, coeff in sorted(self._terms.items()):
-            yield _unpack(key, self.n), coeff
+        """(letters, coeff) pairs, sorted by letter pattern."""
+        return iter(sorted((_key_letters(key, self.n), coeff)
+                           for key, coeff in self._terms.items()))
 
     def coefficient(self, letters: Iterable[int]) -> complex:
-        return self._terms.get(_pack(letters), 0j)
+        return self._terms.get(word_key(letters), 0j)
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -193,16 +182,12 @@ class PauliSum:
         if not isinstance(other, PauliSum):
             return PauliSum(self.n, {k: other * c for k, c in self._terms.items()})
         self._check_n(other)
-        acc: dict[int, complex] = {}
-        n = self.n
-        right = [(_unpack(kb, n), cb) for kb, cb in other._terms.items()]
+        acc: dict[tuple[int, int], complex] = {}
         for ka, ca in self._terms.items():
-            la = _unpack(ka, n)
-            for lb, cb in right:
-                letters, phase = _letter_product(la, lb)
-                key = _pack(letters)
+            for kb, cb in other._terms.items():
+                key, phase = _product(ka, kb)
                 acc[key] = acc.get(key, 0j) + ca * cb * phase
-        return PauliSum(n, acc)
+        return PauliSum(self.n, acc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSum):
@@ -210,7 +195,7 @@ class PauliSum:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self._terms.items(), key=lambda kv: kv[0]))))
+        return hash((self.n, tuple(self.terms())))
 
     def allclose(self, other: "PauliSum", tol: float = TOL_ALG) -> bool:
         self._check_n(other)
@@ -227,14 +212,14 @@ class PauliSum:
         """Linear action on a state vector, term by term; no normalization."""
         if v.n != self.n:
             raise ValueError(f"qubit counts differ: {self.n} != {v.n}")
+        parity = np.zeros(1, dtype=bool)  # popcount parity of every index
+        for _ in range(self.n):
+            parity = np.concatenate([parity, ~parity])
+        index = np.arange(1 << self.n)
         out = np.zeros(1 << self.n, dtype=complex)
-        for key, coeff in self._terms.items():
-            word = PauliWord(_unpack(key, self.n), coeff)
-            for index in range(1 << self.n):
-                amp = v.amps[index]
-                if amp != 0:
-                    phase, new_index = word.apply_to_basis(index)
-                    out[new_index] += phase * amp
+        for (x, z), coeff in self._terms.items():
+            amps = np.where(parity[index & z], -v.amps, v.amps)
+            out[index ^ x] += coeff * _I_POW[(x & z).bit_count() % 4] * amps
         return StateVector(self.n, out)
 
     def __repr__(self) -> str:

@@ -4,8 +4,17 @@ These stay independent of the package's own algebra so that every exact
 claim is checked through a second route.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# the CLI tests start `python -m merminkit` subprocesses; let them import the
+# package from this checkout even when it is not installed
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 SIGMA = {
     0: np.eye(2, dtype=complex),

@@ -178,10 +178,15 @@ class TestContour:
     (["instr", "--system-file"], [{"expr": "s(1,1,1)", "target": None}]),
     (["instr", "--system-file"], [{"expr": "s(1,1,1)", "target": 1, "poly": [3]}]),
     (["instr", "--system-file"], [7]),
+    (["state", "--id", "zz"], None),
+    (["frobnicate"], None),
+    (["contour", "--state", "v31"], None),
+    (["bounds", "--state", "u3", "--starts", "x"], None),
 ], ids=["ghz3-coeffs", "u3-coeffs", "empty-chunk", "blank-coeffs", "sign-only",
         "nan", "inf", "overflow", "negative-max-solutions", "empty-system",
         "system-not-a-list", "no-target", "no-expr", "null-target", "list-poly",
-        "entry-not-an-object"])
+        "entry-not-an-object", "unknown-id", "unknown-subcommand",
+        "missing-flags", "non-integer-starts"])
 def test_bad_input_exits_one_with_one_line(tmp_path, argv, system):
     if system is not None:
         path = tmp_path / "system.json"

@@ -5,7 +5,7 @@ import pytest
 
 from merminkit import eigenops as eo
 from merminkit.pauli import PauliSum, render_sum, sigma
-from merminkit.states import dicke, sym_coeff_count
+from merminkit.states import StateVector, dicke, sym_coeff_count
 
 from conftest import random_nonzero_coeffs, sum_matrix
 
@@ -147,6 +147,31 @@ class TestEigenBasisSolver:
     def test_rejects_non_symmetric_state(self):
         with pytest.raises(ValueError):
             eo.eigen_basis(dicke(4, 1))
+
+
+# rank decisions must not move when the state is rescaled or rephased
+_SCALED_STATES = [("u3", None), ("u4", None), ("v31~", (1, 2 + 1j, 5)),
+                  ("v41~", (1, 2, 3, 4)), ("v42~", (1, 2, 3)), ("v42~", (1, -2, 0.5j))]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("state_id,coeffs", _SCALED_STATES)
+def test_eigen_basis_invariant_under_scale_and_phase(state_id, coeffs, scale):
+    v = eo.catalog_state(state_id, coeffs)
+    reference = eo.eigen_basis(v)
+    assert len(reference) == EXPECTED_DIMS[state_id]
+    for phi in (0.0, 0.7, np.pi / 2, 2.5, np.pi):
+        scaled = StateVector(v.n, scale * np.exp(1j * phi) * v.amps)
+        basis = eo.eigen_basis(scaled)
+        assert len(basis) == len(reference)
+        assert np.max(np.abs(np.subtract(basis.eigenvalues,
+                                         reference.eigenvalues))) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-12, 1e-8, 1.0, 1e4, 1e12])
+def test_non_symmetric_state_rejected_at_every_scale(scale):
+    with pytest.raises(ValueError):
+        eo.eigen_basis(StateVector(4, scale * dicke(4, 1).amps))
 
 
 class TestTauOperators:

@@ -160,6 +160,13 @@ class TestSolve:
         indices = [a.to_index() for a in report.solutions]
         assert indices == sorted(indices)
 
+    def test_witness_products_match_solutions(self):
+        report = ins.solve(ins.device_system("v41~"))
+        assert report.witness_values == {
+            "xi_product": [int(np.prod(a.xi)) for a in report.solutions],
+            "eta_product": [int(np.prod(a.eta)) for a in report.solutions],
+        }
+
     def test_deterministic(self):
         r1 = ins.solve(ins.device_system("v41~"))
         r2 = ins.solve(ins.device_system("v41~"))
@@ -233,6 +240,21 @@ class TestParityCertificate:
                         exponents[a if j == 1 else system.n + a] += 1
                 assert np.all(exponents % 2 == 0)
                 assert sign == -1
+
+    def test_completeness_on_random_product_systems(self, rng):
+        # product-form systems are linear over GF(2): unsatisfiable exactly
+        # when some subset of equations multiplies out to +1 == -1
+        for _ in range(150):
+            n = int(rng.integers(2, 5))
+            equations = [
+                ins.Equation(int(rng.choice([-1, 1]))
+                             * sigma(*(int(j) for j in rng.integers(1, 3, size=n))),
+                             int(rng.choice([-1, 1])))
+                for _ in range(int(rng.integers(1, 10)))
+            ]
+            system = ins.InstructionalSystem(n, equations)
+            certificate = ins.parity_certificate(system)
+            assert (certificate is None) == (ins.solve(system).count > 0)
 
 
 class TestDeviceVerdicts:

@@ -91,6 +91,16 @@ class TestProducts:
                     product.coeff * kron_word(product.letters), SIGMA[p] @ SIGMA[q]
                 )
 
+    def test_two_qubit_products_match_oracle_exhaustively(self):
+        import itertools
+
+        words = list(itertools.product(range(4), repeat=2))
+        for la in words:
+            for lb in words:
+                product = PauliWord(la) * PauliWord(lb)
+                assert np.array_equal(product.coeff * kron_word(product.letters),
+                                      kron_word(la) @ kron_word(lb))
+
     def test_squares_are_identity(self):
         for p in (1, 2, 3):
             assert sigma(p) * sigma(p) == sigma(0)

@@ -116,17 +116,24 @@ def mermin_terms(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return terms
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, without np.kron's generic set-up."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def mermin_operator(n: int, setting: MeasurementSetting) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the signed sum of X/Y tensor words."""
     if setting.n != n:
         raise ValueError(f"setting is for {setting.n} qubits, expected {n}")
-    xs = [observable(setting.x[a]) for a in range(n)]
-    ys = [observable(setting.y[a]) for a in range(n)]
+    # per-qubit observables: row a is sum_j v_aj s_j, as in ``observable``
+    factors = (np.tensordot(setting.x, _PAULI, axes=(1, 0)),
+               np.tensordot(setting.y, _PAULI, axes=(1, 0)))
     total = np.zeros((1 << n, 1 << n), dtype=complex)
     for sign, pattern in mermin_terms(n):
-        term = np.eye(1, dtype=complex)
-        for a, which in enumerate(pattern):
-            term = np.kron(term, ys[a] if which else xs[a])
+        term = factors[pattern[0]][0]
+        for a in range(1, n):
+            term = _kron(term, factors[pattern[a]][a])
         total += sign * term
     return total
 
@@ -355,6 +362,9 @@ def collinear_mu(state_id: str, sign: int, x3, y3):
     return _mu_poly(state_id, x3, y3, d)
 
 
+MAX_RESOLUTION = 2001  # samples per axis; the grid holds resolution^2 floats
+
+
 def _grid_axis(resolution: int) -> np.ndarray:
     """``resolution`` evenly spaced samples of [-1, 1], exactly symmetric."""
     return (2.0 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
@@ -377,6 +387,8 @@ class ContourGrid:
 def contour(state_id: str, sign: int, resolution: int) -> ContourGrid:
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution {resolution} refused (above {MAX_RESOLUTION})")
     axis = _grid_axis(resolution)
     values = collinear_mu(state_id, sign,
                           *np.meshgrid(axis, axis, indexing="ij", sparse=True))
@@ -387,8 +399,9 @@ def contour(state_id: str, sign: int, resolution: int) -> ContourGrid:
 def contour_csv_lines(grid: ContourGrid) -> list[str]:
     """CSV rows ``x3,y3,mu`` at 6 significant digits, plus the header."""
     lines = ["x3,y3,mu"]
-    axis = grid.axis
-    for i, x3 in enumerate(axis):
-        for j, y3 in enumerate(axis):
-            lines.append(f"{x3:.6g},{y3:.6g},{grid.values[i, j]:.6g}")
+    # each axis label is formatted once; one row at a time keeps the Python
+    # floats of the whole grid from being alive together
+    labels = [f"{a:.6g}," for a in grid.axis.tolist()]
+    for x3, row in zip(labels, grid.values):
+        lines.extend([f"{x3}{y3}{mu:.6g}" for y3, mu in zip(labels, row.tolist())])
     return lines

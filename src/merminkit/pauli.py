@@ -205,8 +205,20 @@ class PauliSum:
         )
 
     def commutes(self, other: "PauliSum") -> bool:
-        """True iff the commutator normalizes to the empty sum."""
-        return (self * other - other * self).is_zero()
+        """True iff the commutator normalizes to the empty sum.
+
+        Two words anticommute iff their symplectic product
+        ``|xa&zb ^ za&xb|`` is odd, and then contribute ``2 a b s_a s_b``;
+        commuting pairs cancel, so only anticommuting pairs are multiplied.
+        """
+        self._check_n(other)
+        acc: dict[tuple[int, int], complex] = {}
+        for (xa, za), ca in self._terms.items():
+            for (xb, zb), cb in other._terms.items():
+                if ((xa & zb) ^ (za & xb)).bit_count() & 1:
+                    key, phase = _product((xa, za), (xb, zb))
+                    acc[key] = acc.get(key, 0j) + 2 * ca * cb * phase
+        return PauliSum(self.n, acc).is_zero()
 
     def apply(self, v: StateVector) -> StateVector:
         """Linear action on a state vector, term by term; no normalization."""

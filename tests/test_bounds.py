@@ -84,6 +84,22 @@ class TestMerminOperator:
                 m = bd.mermin_operator(n, random_setting(n, rng))
                 assert np.linalg.svd(m, compute_uv=False)[0] <= bound + 1e-9
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equals_literal_kron_build(self, n):
+        # the signed sum of mermin_terms words, each a chain of np.kron
+        rng = np.random.default_rng(4100 + n)
+        for _ in range(100):
+            setting = random_setting(n, rng)
+            xs = [bd.observable(v) for v in setting.x]
+            ys = [bd.observable(v) for v in setting.y]
+            expected = np.zeros((2**n, 2**n), dtype=complex)
+            for sign, pattern in bd.mermin_terms(n):
+                term = np.eye(1, dtype=complex)
+                for a, which in enumerate(pattern):
+                    term = np.kron(term, ys[a] if which else xs[a])
+                expected += sign * term
+            assert np.array_equal(bd.mermin_operator(n, setting), expected)
+
     def test_setting_validation(self):
         with pytest.raises(ValueError):
             bd.MeasurementSetting(np.ones((3, 3)), np.ones((3, 3)))
@@ -232,6 +248,35 @@ class TestContour:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             bd.contour("v31", 1, 1)
+
+    def test_resolution_above_limit_refused(self):
+        # refused before any grid is allocated
+        for resolution in (bd.MAX_RESOLUTION + 1, 10**6):
+            with pytest.raises(ValueError, match="refused"):
+                bd.contour("v31", 1, resolution)
+
+    @staticmethod
+    def per_cell_csv(grid):
+        lines = ["x3,y3,mu"]
+        for i, x3 in enumerate(grid.axis):
+            for j, y3 in enumerate(grid.axis):
+                lines.append(f"{x3:.6g},{y3:.6g},{grid.values[i, j]:.6g}")
+        return lines
+
+    @pytest.mark.parametrize("state_id", ["v31", "v41", "v42"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_csv_matches_per_cell_format(self, state_id, sign):
+        grid = bd.contour(state_id, sign, 201)
+        assert bd.contour_csv_lines(grid) == self.per_cell_csv(grid)
+
+    def test_csv_formats_edge_values(self):
+        values = np.array([[-0.0, 1e-7, 123456.7],
+                           [0.0, -1e-7, -123456.7],
+                           [1234567.0, 0.1 + 0.2, -2.5e-300]])
+        grid = bd.ContourGrid(state_id="v31", sign=1, resolution=3, values=values)
+        lines = bd.contour_csv_lines(grid)
+        assert lines == self.per_cell_csv(grid)
+        assert lines[1:4] == ["-1,-1,-0", "-1,0,1e-07", "-1,1,123457"]
 
 
 class TestMaximize:

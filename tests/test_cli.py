@@ -199,6 +199,66 @@ def test_bad_input_exits_one_with_one_line(tmp_path, argv, system):
     assert len(result.stderr.splitlines()) == 1, result.stderr
 
 
+# a valid call of every subcommand; the fuzz cases below break one flag each
+_VALID_CALLS = {
+    "state": ["state", "--id", "v31~", "--coeffs", "1,2+1i,5"],
+    "eigenops": ["eigenops", "--state", "v31~", "--coeffs", "1,2+1i,5"],
+    "identities": ["identities"],
+    "instr": ["instr", "--device", "u3", "--max-solutions", "3"],
+    "bounds": ["bounds", "--state", "u3", "--mode", "uniform", "--seed", "1",
+               "--starts", "2"],
+    "contour": ["contour", "--state", "v31", "--sign", "+", "--res", "5",
+                "--out", "grid.csv"],
+}
+_MISSING = object()  # the flag is given last, with no value after it
+_MALFORMED = {"empty": "", "non-numeric": "x1", "unknown-choice": "zz",
+              "missing": _MISSING}
+
+
+def _fuzz_cases():
+    for command, call in _VALID_CALLS.items():
+        pairs = list(zip(call[1::2], call[2::2]))
+        for k, (flag, _) in enumerate(pairs):
+            rest = [a for pair in pairs[:k] + pairs[k + 1:] for a in pair]
+            for kind, bad in _MALFORMED.items():
+                if flag == "--out" and bad in ("x1", "zz"):
+                    continue  # a plain file name is a valid output path
+                tail = [flag] if bad is _MISSING else [flag, bad]
+                yield pytest.param([command, *rest, *tail],
+                                   id=f"{command}{flag}-{kind}")
+    for kind, bad in _MALFORMED.items():  # "x1" and "zz" name no file
+        tail = ["--system-file"] if bad is _MISSING else ["--system-file", bad]
+        yield pytest.param(["instr", *tail], id=f"instr--system-file-{kind}")
+    contour = ["contour", "--state", "v31", "--sign", "+"]
+    yield pytest.param(contour + ["--res", "5", "--out", "no-such-dir/grid.csv"],
+                       id="contour--out-missing-dir")
+    yield pytest.param(contour + ["--res", "1000000", "--out", "grid.csv"],
+                       id="contour--res-huge")
+    yield pytest.param(["bounds", "--state", "u3", "--seed", "-1"],
+                       id="bounds--seed-negative")
+    yield pytest.param(["eigenops", "--state", "u3", "--catalog=x1"],
+                       id="eigenops--catalog-with-value")
+    yield pytest.param(["identities", "--frob"], id="identities-unknown-flag")
+    yield pytest.param([], id="no-subcommand")
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_CALLS))
+def test_fuzz_base_calls_succeed(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(_VALID_CALLS[command]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _fuzz_cases())
+def test_fuzz_malformed_flag_exits_one_with_one_line(tmp_path, monkeypatch, capsys,
+                                                     argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+
+
 class TestUsage:
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, merminkit.cli; "

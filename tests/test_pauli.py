@@ -179,6 +179,28 @@ class TestCommutes:
         a = random_sum(rng, 3)
         assert a.commutes(a)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_commutator(self, n):
+        # coefficients in {+-1, +-i} give a mix of commuting and
+        # anticommuting sums
+        rng = np.random.default_rng(300 + n)
+        phases = (1, -1, 1j, -1j)
+        seen = set()
+        for _ in range(200):
+            a, b = (PauliSum.from_words(
+                PauliWord(tuple(int(j) for j in rng.integers(0, 4, size=n)),
+                          phases[int(rng.integers(4))])
+                for _ in range(int(rng.integers(1, 4)))) for _ in range(2))
+            ma, mb = sum_matrix(a), sum_matrix(b)
+            dense = np.allclose(ma @ mb, mb @ ma, atol=1e-12)
+            assert a.commutes(b) == dense, (render_sum(a), render_sum(b))
+            seen.add(dense)
+        assert seen == {True, False}
+
+    def test_qubit_count_mismatch(self):
+        with pytest.raises(ValueError):
+            sigma(1, 1).commutes(sigma(1, 1, 1))
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_even_s2_words_all_commute(self, n):
         from merminkit.eigenops import candidate_words

@@ -15,9 +15,10 @@ dense-matrix expectation at the setting found.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import numpy as np
 
@@ -281,6 +282,8 @@ def maximize(
         raise ValueError(f"unsupported qubit count {n}; expected 3 or 4")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     tensor = _pauli_expectation_tensor(v)
     rng = np.random.default_rng(seed)
     rows = 2 * starts
@@ -396,12 +399,16 @@ def contour(state_id: str, sign: int, resolution: int) -> ContourGrid:
                        values=values)
 
 
-def contour_csv_lines(grid: ContourGrid) -> list[str]:
-    """CSV rows ``x3,y3,mu`` at 6 significant digits, plus the header."""
-    lines = ["x3,y3,mu"]
+def contour_csv_rows(grid: ContourGrid) -> Iterator[list[str]]:
+    """The header, then each grid row's ``x3,y3,mu`` lines at 6 significant digits."""
+    yield ["x3,y3,mu"]
     # each axis label is formatted once; one row at a time keeps the Python
     # floats of the whole grid from being alive together
     labels = [f"{a:.6g}," for a in grid.axis.tolist()]
     for x3, row in zip(labels, grid.values):
-        lines.extend([f"{x3}{y3}{mu:.6g}" for y3, mu in zip(labels, row.tolist())])
-    return lines
+        yield [f"{x3}{y3}{mu:.6g}" for y3, mu in zip(labels, row.tolist())]
+
+
+def contour_csv_lines(grid: ContourGrid) -> list[str]:
+    """Every line of ``contour_csv_rows``, header first."""
+    return list(chain.from_iterable(contour_csv_rows(grid)))

@@ -127,12 +127,14 @@ def _cmd_instr(args) -> int:
             args.system_file, _read_system(args.system_file))
     else:
         verdict = instructional.device_verdict(args.device)
-    shown = verdict.report.solutions[: args.max_solutions]
+    report = verdict.report
+    shown = [instructional.Assignment.from_index(i, report.n)
+             for i in report.indices[: args.max_solutions].tolist()]
     emit(
         {
             "device": verdict.device,
             "explainable": verdict.explainable,
-            "count": verdict.report.count,
+            "count": report.count,
             "solutions": [
                 {"xi": list(a.xi), "eta": list(a.eta)} for a in shown
             ],
@@ -168,9 +170,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_contour(args) -> int:
     sign = 1 if args.sign == "+" else -1
     grid = bounds.contour(args.state, sign, args.res)
-    lines = bounds.contour_csv_lines(grid)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines("\n".join(lines) + "\n"
+                      for lines in bounds.contour_csv_rows(grid))
     emit(
         {
             "state": args.state,

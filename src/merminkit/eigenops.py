@@ -25,40 +25,20 @@ TOL_RANK = 1e-9
 _TAU4_WORDS = ((1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1),
                (2, 1, 1, 2), (2, 1, 2, 1), (2, 2, 1, 1))
 
-_TAU4_I_WORDS = {
-    1: ((1, 1, 2, 2), (2, 2, 1, 1)),
-    2: ((1, 2, 1, 2), (2, 1, 2, 1)),
-    3: ((1, 2, 2, 1), (2, 1, 1, 2)),
-}
+# tau4_i: a word of the first three and its s1<->s2 complement
+_TAU4_I_WORDS = {i: (w, tuple(3 - j for j in w))
+                 for i, w in enumerate(_TAU4_WORDS[:3], start=1)}
 
-_TAU4_IJ_WORDS = {
-    (1, 1): ((1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1)),
-    (1, 2): ((2, 1, 1, 2), (2, 1, 2, 1), (2, 2, 1, 1)),
-    (2, 1): ((1, 1, 2, 2), (2, 1, 1, 2), (2, 1, 2, 1)),
-    (2, 2): ((1, 2, 1, 2), (1, 2, 2, 1), (2, 2, 1, 1)),
-    (3, 1): ((1, 2, 1, 2), (2, 1, 1, 2), (2, 2, 1, 1)),
-    (3, 2): ((1, 1, 2, 2), (1, 2, 2, 1), (2, 1, 2, 1)),
-    (4, 1): ((1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1)),
-    (4, 2): ((1, 1, 2, 2), (1, 2, 1, 2), (2, 1, 1, 2)),
-}
+# tau4_ij: the words with letter j at qubit i, in candidate-word order
+_TAU4_IJ_WORDS = {(i, j): tuple(w for w in _TAU4_WORDS if w[i - 1] == j)
+                  for i in (1, 2, 3, 4) for j in (1, 2)}
 
 # Triples of two-s2 words whose product equals -s(1,1,1,1) (x list) or
-# -s(2,2,2,2) (y list); the n=3 analogue is the single triple for -s(1,1,1).
+# -s(2,2,2,2) (y list): the words of tau4_i1 and tau4_i2.  The n=3 analogue
+# is the single triple for -s(1,1,1), the words of tau3.
 GHZ3_FACTOR_WORDS = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
-
-GHZ4_FACTORIZATIONS_X = (
-    ((1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1)),
-    ((1, 1, 2, 2), (2, 1, 1, 2), (2, 1, 2, 1)),
-    ((1, 2, 1, 2), (2, 1, 1, 2), (2, 2, 1, 1)),
-    ((1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1)),
-)
-
-GHZ4_FACTORIZATIONS_Y = (
-    ((2, 1, 1, 2), (2, 1, 2, 1), (2, 2, 1, 1)),
-    ((1, 2, 1, 2), (1, 2, 2, 1), (2, 2, 1, 1)),
-    ((1, 1, 2, 2), (1, 2, 2, 1), (2, 1, 2, 1)),
-    ((1, 1, 2, 2), (1, 2, 1, 2), (2, 1, 1, 2)),
-)
+GHZ4_FACTORIZATIONS_X = tuple(_TAU4_IJ_WORDS[(i, 1)] for i in (1, 2, 3, 4))
+GHZ4_FACTORIZATIONS_Y = tuple(_TAU4_IJ_WORDS[(i, 2)] for i in (1, 2, 3, 4))
 
 
 def word_sum(words) -> PauliSum:
@@ -67,7 +47,7 @@ def word_sum(words) -> PauliSum:
 
 
 def tau3() -> PauliSum:
-    return word_sum(((1, 2, 2), (2, 1, 2), (2, 2, 1)))
+    return word_sum(GHZ3_FACTOR_WORDS)
 
 
 def tau4() -> PauliSum:

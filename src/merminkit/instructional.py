@@ -3,8 +3,10 @@
 Each particle carries a pair of dichotomic values (xi_a, eta_a); a device
 experiment built from an s1/s2 tensor word turns into the product of the
 matching values, and a commuting operator set turns into a system of exact
-integer equations.  Systems are solved by exhaustive enumeration of all 4^n
-assignments, so verdicts are unconditional.
+integer equations.  An assignment is its 2n-bit index and a monomial is the
+mask of the bits it multiplies, so its sign is set by the parity of their AND.
+Systems are solved by exhaustive enumeration of all 4^n assignments, so
+verdicts are unconditional.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, word_key
+from .pauli import PauliSum
 from . import eigenops
 
 _CHUNK = 1 << 18  # assignments processed per numpy block
 
-# integer-exact checks for "poly(value) == target": compare cleared denominators
+# integer-exact checks for "poly(value) == target", poly None meaning the value
+# itself; the cubics compare cleared denominators
 _POLY_CHECKS = {
+    None: lambda v, t: v == t,
     "f3": lambda v, t: -(v ** 3) + 7 * v == 6 * t,
     "f4": lambda v, t: -(v ** 3) + 28 * v == 24 * t,
 }
@@ -65,7 +69,7 @@ class Equation:
     poly: str | None = None
 
     def __post_init__(self):
-        if self.poly is not None and self.poly not in _POLY_CHECKS:
+        if self.poly not in _POLY_CHECKS:
             raise ValueError(f"unknown polynomial {self.poly!r}")
         _monomials_of(self.expr)  # validates letters and coefficients
 
@@ -83,11 +87,27 @@ class InstructionalSystem:
                 )
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
-    solutions: list[Assignment]
-    count: int
-    witness_values: dict[str, list[int]] | None = None
+    """The solutions of a system as ascending ``Assignment.from_index`` indices."""
+
+    n: int
+    indices: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return len(self.indices)
+
+    @property
+    def solutions(self) -> list[Assignment]:
+        return [Assignment.from_index(i, self.n) for i in self.indices.tolist()]
+
+    @property
+    def witness_values(self) -> dict[str, list[int]]:
+        """The products of all xi and of all eta values of each solution."""
+        xi_bits = self.indices & ((1 << self.n) - 1)
+        return {"xi_product": _sign(xi_bits).tolist(),
+                "eta_product": _sign(self.indices >> self.n).tolist()}
 
 
 @dataclass
@@ -113,21 +133,33 @@ def _monomials_of(expr: PauliSum) -> list[tuple[int, tuple[int, ...]]]:
     return monomials
 
 
+def _monomial_masks(expr: PauliSum) -> list[tuple[int, int]]:
+    """Monomials (coeff, mask), the mask in the ``Assignment.from_index`` layout."""
+    n = expr.n
+    return [(coeff, sum(1 << (a if j == 1 else n + a) for a, j in enumerate(letters)))
+            for coeff, letters in _monomials_of(expr)]
+
+
+def _sign(v):
+    """(-1) ** (number of set bits) of each non-negative int64, by XOR fold."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return 1 - 2 * (v & 1)
+
+
+def _values(expr: PauliSum, indices: np.ndarray) -> np.ndarray:
+    """Value of an s1/s2 word sum at each assignment index."""
+    total = np.zeros(len(indices), dtype=np.int64)
+    for coeff, mask in _monomial_masks(expr):
+        total += coeff * _sign(indices & mask)
+    return total
+
+
 def evaluate(expr: PauliSum, assignment: Assignment) -> int:
     """Value of an s1/s2 word sum under an instructional set."""
     if expr.n != assignment.n:
         raise ValueError(f"qubit counts differ: {expr.n} != {assignment.n}")
-    signs = np.array([assignment.xi + assignment.eta], dtype=np.int64)
-    return int(_values_block(expr, signs, expr.n)[0])
-
-
-def _values_block(expr: PauliSum, signs: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized evaluate over a block of assignments (rows of +-1 signs)."""
-    total = np.zeros(signs.shape[0], dtype=np.int64)
-    for coeff, letters in _monomials_of(expr):
-        cols = [a if j == 1 else n + a for a, j in enumerate(letters)]
-        total += coeff * signs[:, cols].prod(axis=1)
-    return total
+    return int(_values(expr, np.array([assignment.to_index()], dtype=np.int64))[0])
 
 
 def solve(system: InstructionalSystem) -> SolveReport:
@@ -136,33 +168,16 @@ def solve(system: InstructionalSystem) -> SolveReport:
     if n > 16:
         raise ValueError(f"enumeration over 4^{n} assignments refused (n > 16)")
     total = 1 << (2 * n)
-    solutions: list[Assignment] = []
-    xi_prod: list[int] = []
-    eta_prod: list[int] = []
+    hits = []
     for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        indices = np.arange(start, stop, dtype=np.int64)
-        bits = (indices[:, None] >> np.arange(2 * n)) & 1
-        signs = (1 - 2 * bits).astype(np.int64)
-        mask = np.ones(len(indices), dtype=bool)
+        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         for eq in system.equations:
-            values = _values_block(eq.expr, signs, n)
-            if eq.poly is None:
-                mask &= values == eq.target
-            else:
-                mask &= _POLY_CHECKS[eq.poly](values, eq.target)
-            if not mask.any():
+            values = _values(eq.expr, indices)
+            indices = indices[_POLY_CHECKS[eq.poly](values, eq.target)]
+            if not len(indices):
                 break
-        hits = signs[mask]
-        solutions.extend(Assignment(tuple(row[:n]), tuple(row[n:]))
-                         for row in hits.tolist())
-        xi_prod.extend(hits[:, :n].prod(axis=1).tolist())
-        eta_prod.extend(hits[:, n:].prod(axis=1).tolist())
-    return SolveReport(
-        solutions=solutions,
-        count=len(solutions),
-        witness_values={"xi_product": xi_prod, "eta_product": eta_prod},
-    )
+        hits.append(indices)
+    return SolveReport(n=n, indices=np.concatenate(hits))
 
 
 def parity_certificate(system: InstructionalSystem) -> list[int] | None:
@@ -172,17 +187,14 @@ def parity_certificate(system: InstructionalSystem) -> list[int] | None:
     sign of the product of targets.  Returns equation indices, or None when
     no such subset exists or when some equation is not a single monomial.
     """
-    n = system.n
     rows = []
     for eq in system.equations:
-        monomials = _monomials_of(eq.expr)
+        monomials = _monomial_masks(eq.expr)
         if (eq.poly is not None or eq.target not in (-1, 1)
                 or len(monomials) != 1 or monomials[0][0] not in (-1, 1)):
             return None
-        coeff, letters = monomials[0]
-        x, z = word_key(letters)
-        # xi exponents sit at the s1 positions x ^ z, eta exponents at z
-        rows.append(((x ^ z) << n | z, eq.target * coeff == -1))
+        coeff, mask = monomials[0]
+        rows.append((mask, eq.target * coeff == -1))
     # Incremental elimination, keyed by leading bit.  Each reduced row keeps
     # the equations it combines and the parity of their negative signs; the
     # first equation that reduces to zero with odd parity closes a certificate.
@@ -226,12 +238,10 @@ def _build_devices() -> dict[str, InstructionalSystem]:
     devices["u3"] = InstructionalSystem(3, ghz3_eqs)
     devices["u3-last3"] = InstructionalSystem(3, ghz3_eqs[1:])
 
-    corners = {0: (1, 1, 1, 1), 1: (2, 2, 2, 2)}
     for k in range(8):
-        corner = corners[k % 2]
-        factors = (eigenops.GHZ4_FACTORIZATIONS_X if k % 2 == 0
-                   else eigenops.GHZ4_FACTORIZATIONS_Y)[k // 2]
-        eqs = [_sigma_eq(corner, 1)] + [_sigma_eq(w, -1) for w in factors]
+        factors = (eigenops.GHZ4_FACTORIZATIONS_X,
+                   eigenops.GHZ4_FACTORIZATIONS_Y)[k % 2][k // 2]
+        eqs = [_sigma_eq((k % 2 + 1,) * 4, 1)] + [_sigma_eq(w, -1) for w in factors]
         devices[f"u4-{k + 1}"] = InstructionalSystem(4, eqs)
 
     devices["v31~"] = InstructionalSystem(

@@ -172,12 +172,8 @@ def catalog_state(state_id: str, coeffs=None) -> StateVector:
 
 
 def exchange_flip(v: StateVector) -> StateVector:
-    """Move the amplitude at each basis word to its e1<->e2 complement."""
-    mask = (1 << v.n) - 1
-    amps = np.zeros_like(v.amps)
-    for index in range(1 << v.n):
-        amps[mask ^ index] = v.amps[index]
-    return StateVector(v.n, amps)
+    """Move each amplitude to its e1<->e2 complement, index mask ^ i == mask - i."""
+    return StateVector(v.n, v.amps[::-1])
 
 
 def is_exchange_symmetric(v: StateVector, tol: float = 1e-12) -> bool:

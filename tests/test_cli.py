@@ -287,3 +287,25 @@ class TestUsage:
             first = run_cli(*args).stdout
             parsed = json.loads(first)
             assert json.loads(json.dumps(cli._quantize(parsed))) == parsed
+
+
+class TestInstrIndices:
+    def test_ten_qubit_system_file_prints_only_max_solutions(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps([{"expr": "s(1,1,1,1,1,1,1,1,1,1)", "target": 1}]))
+        result = run_cli("instr", "--system-file", str(path), "--max-solutions", "2")
+        assert result.returncode == 0
+        data = json.loads(result.stdout)
+        assert data["count"] == 524288
+        assert data["solutions"] == [
+            {"xi": [1] * 10, "eta": [1] * 10},
+            {"xi": [-1, -1] + [1] * 8, "eta": [1] * 10},
+        ]
+
+
+def test_negative_seed_names_the_flag_and_value():
+    result = run_cli("bounds", "--state", "u3", "--seed", "-1")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert "seed" in line and "-1" in line

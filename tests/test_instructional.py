@@ -1,5 +1,7 @@
 """Tests for instructional-set evaluation, exhaustive solving, certificates."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,89 @@ class TestLightParity:
                 value = ins.evaluate(sigma(*letters), a)
                 greens = sum(1 for lamp in lamps if lamp == -1)
                 assert value == (1 if greens % 2 == 0 else -1)
+
+
+# -- an enumeration oracle that never calls ins.evaluate ------------------------
+
+ORACLE_POLYS = {
+    None: lambda v: v,
+    "f3": lambda v: Fraction(-v ** 3 + 7 * v, 6),
+    "f4": lambda v: Fraction(-v ** 3 + 28 * v, 24),
+}
+
+
+def hand_value(expr, a):
+    """Sum of coeff times the product of xi (s1) or eta (s2) per qubit."""
+    total = 0
+    for letters, coeff in expr.terms():
+        term = int(round(coeff.real))
+        for q, j in enumerate(letters):
+            term *= a.xi[q] if j == 1 else a.eta[q]
+        total += term
+    return total
+
+
+def oracle_solutions(system):
+    return [a for a in all_assignments(system.n)
+            if all(ORACLE_POLYS[eq.poly](hand_value(eq.expr, a)) == eq.target
+                   for eq in system.equations)]
+
+
+def random_sum(rng, n):
+    words = {tuple(int(j) for j in rng.integers(1, 3, size=n))
+             for _ in range(int(rng.integers(1, 5)))}
+    terms = [float(rng.choice([-3, -2, -1, 1, 2, 3])) * sigma(*w) for w in words]
+    expr = terms[0]
+    for term in terms[1:]:
+        expr = expr + term
+    return expr
+
+
+class TestIndexLayout:
+    def test_solve_matches_hand_enumeration_on_random_systems(self, rng):
+        satisfiable = 0
+        for _ in range(120):
+            n = int(rng.integers(2, 5))
+            equations = []
+            for _ in range(int(rng.integers(1, 4))):
+                expr = random_sum(rng, n)
+                poly = [None, None, "f3", "f4"][int(rng.integers(0, 4))]
+                # a target the expression reaches, or a random small one
+                reached = ORACLE_POLYS[poly](hand_value(
+                    expr, ins.Assignment.from_index(int(rng.integers(0, 4 ** n)), n)))
+                if reached.denominator == 1 and rng.random() < 0.75:
+                    target = int(reached) * int(rng.choice([-1, 1]))
+                else:
+                    target = int(rng.integers(-3, 4))
+                equations.append(ins.Equation(expr, target, poly=poly))
+            system = ins.InstructionalSystem(n, equations)
+            expected = oracle_solutions(system)
+            report = ins.solve(system)
+            assert report.solutions == expected
+            assert report.count == len(expected)
+            assert report.witness_values == {
+                "xi_product": [int(np.prod(a.xi)) for a in expected],
+                "eta_product": [int(np.prod(a.eta)) for a in expected],
+            }
+            satisfiable += bool(expected)
+        assert satisfiable >= 30
+
+    def test_mask_bits_follow_from_index(self):
+        # s(1,2) multiplies xi_1 (bit 0) and eta_2 (bit n + 1 = 3)
+        report = ins.solve(ins.InstructionalSystem(2, [ins.Equation(sigma(1, 2), -1)]))
+        assert report.indices.tolist() == [i for i in range(16)
+                                           if ((i >> 0) ^ (i >> 3)) & 1]
+
+    def test_ten_qubit_single_equation(self):
+        n = 10
+        report = ins.solve(ins.InstructionalSystem(n, [ins.Equation(sigma(*[1] * n), 1)]))
+        assert report.count == 1 << (2 * n - 1)
+        first, second, last = (ins.Assignment.from_index(i, n)
+                               for i in report.indices[[0, 1, -1]].tolist())
+        assert first == ins.Assignment((1,) * n, (1,) * n)
+        assert second == ins.Assignment((-1, -1) + (1,) * (n - 2), (1,) * n)
+        assert last == ins.Assignment((-1,) * n, (-1,) * n)
+        witness = report.witness_values
+        assert len(witness["xi_product"]) == len(witness["eta_product"]) == report.count
+        assert set(witness["xi_product"]) == {1}
+        assert sum(witness["eta_product"]) == 0

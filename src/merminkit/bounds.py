@@ -8,8 +8,9 @@ independent of the symbolic algebra in :mod:`merminkit.pauli`.
 The maximizer works on the real tensor T of Pauli-word expectations, in
 which mu is multilinear in the per-qubit z_a = x_a + i y_a: general settings
 are found by a batched see-saw over the qubits, uniform ones by a shifted
-power ascent on the symmetrized tensor.  Every reported value is the
-dense-matrix expectation at the setting found.
+power ascent on the symmetrized tensor, and both are polished by damped
+Riemannian Newton steps on the product of spheres.  Every reported value is
+the dense-matrix expectation at the setting found.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, permutations, product
+from functools import cache, partial
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
 
-from .states import StateVector, catalog_state
+from .states import StateVector, catalog_state, check_qubit_count
 
 TOL_UNIT = 1e-10
 DEFAULT_SEED = 0x4D45524D
@@ -107,8 +108,7 @@ def mermin_terms(n: int) -> list[tuple[int, tuple[int, ...]]]:
     Patterns use an even number of Y slots; the sign is +1 when that number
     is divisible by four and -1 otherwise.
     """
-    if n not in (3, 4):
-        raise ValueError(f"unsupported qubit count {n}; expected 3 or 4")
+    check_qubit_count(n)
     terms = []
     for pattern in product((0, 1), repeat=n):
         ys = sum(pattern)
@@ -157,9 +157,16 @@ _EINSUM_SUBS = {3: "abc,a,b,c->", 4: "abcd,a,b,c,d->"}
 _LETTERS = "abcd"  # tensor axes, one per qubit
 _BRA, _KET = "ABCD", "EFGH"  # basis indices of the bra and ket, one per qubit
 
-SWEEP_CAP = 5000
+SWEEP_CAP = 5000  # first-order sweeps at most
+TOL_COARSE = 1e-6  # first-order phase ends once no row gains more, relative
 TOL_GAIN = 1e-15  # stop once no row gains more than this, relative to max |mu|
 TOL_BASIN = 1e-9  # rows this close to the best value count as basin hits
+NEWTON_CAP = 20  # Newton steps at most
+POLISH_SWEEPS = 16  # about what a Newton polish costs, in first-order sweeps
+POLISH_ROWS = 32  # rows polished together; bounds the Hessians held at once
+DAMPING = 1e-9  # Newton shift, relative to the largest Hessian entry
+TOL_FLAT = 1e-6  # Hessian eigenvalues this small, relative, lie along the orbit
+MAX_STARTS = 4096  # starts per sign branch; rows hold 2 * starts settings
 
 
 def _pauli_expectation_tensor(v: StateVector) -> np.ndarray:
@@ -235,13 +242,185 @@ def _power_sweep(tensor, x, y, sign, shift):
     return value
 
 
+# -- second-order polish on the product of spheres -----------------------------
+
+
+def _tangent_frames(u: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames (3, 2, ...) of unit 3-vectors ``u`` (3, ...).
+
+    The two columns are the first two of the Householder reflection
+    I - v v^T / (1 + |u3|), v = u + s e3 (s the sign of u3, +1 at 0), which
+    sends e3 to -s u; so they are orthonormal and orthogonal to u without a
+    cross product.
+    """
+    v = u.copy()
+    v[2] += np.where(u[2] >= 0, 1.0, -1.0)
+    frames = -v[:, None] * (v[None, :2] / (1.0 + np.abs(u[2])))
+    frames[0, 0] += 1.0
+    frames[1, 1] += 1.0
+    return frames
+
+
+@cache
+def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Qubit pairs a < b as two index arrays, and the other qubits of each pair."""
+    pairs = list(combinations(range(n), 2))
+    others = [[c for c in range(n) if c not in pair] for pair in pairs]
+    first, second = np.array(pairs).T
+    return first, second, np.array(others)
+
+
+def _as_columns(x, y, uniform: bool):
+    """The moving x and y rows as (3, m, rows) arrays, m = 1 for ``uniform``."""
+    m = 1 if uniform else x.shape[1]
+    return x[:, :m].transpose(2, 1, 0), y[:, :m].transpose(2, 1, 0)
+
+
+def _complex_frames(xs, ys) -> np.ndarray:
+    """F_a = [Bx_a, i By_a] per qubit, (3, 4, m, rows): dz_a = F_a step_a."""
+    return np.concatenate((_tangent_frames(xs), 1j * _tangent_frames(ys)), axis=1)
+
+
+def _tangent_model(tensor, x, y, sign, uniform: bool):
+    """Value, Riemannian gradient and Hessian of sign * mu per row.
+
+    Tangent coordinates are, per qubit a, two along the frame Bx_a of x_a
+    then two along By_a (4n in all); with ``uniform`` the qubits share one
+    (x, y), whose 4 coordinates move every qubit at once.  With c_a the
+    tensor contracted with every z_b except b = a, and C_ab with a and b
+    both left open, the gradient is Re(F_a^T c_a) and block (a, b) of the
+    Hessian is Re(F_a^T C_ab F_b); same-qubit blocks are zero, since mu is
+    linear in each z_a.  Each sphere adds -(u . grad_u) I on its own
+    diagonal, the Euclidean-to-Riemannian correction.  Uniform mode takes
+    the pair (0, 1) of the symmetric tensor with factors n and n (n - 1).
+    Returns the values (rows,), gradients (rows, 4m), Hessians (rows, 4m,
+    4m) and the frames F (3, 4, m, rows), m = 1 for ``uniform``, else n.
+    """
+    rows, n, _ = x.shape
+    first, second, others = _pair_layout(n)
+    if uniform:
+        first, second, others = first[:1], second[:1], others[:1]
+    # rows last, so that each elementwise step runs over every row at once
+    z = x.transpose(2, 1, 0) + 1j * y.transpose(2, 1, 0)  # (3, n, rows)
+    paired = np.stack([tensor.transpose((a, b, *o)).reshape(9, -1)
+                       for a, b, o in zip(first, second, others)])
+    rest = z[:, others[:, 0]]
+    for k in range(1, n - 2):
+        rest = (rest[:, None] * z[:, others[:, k]]).reshape(-1, len(first), rows)
+    blocks = sign * (paired @ rest.transpose(1, 0, 2)).reshape(-1, 3, 3, rows)  # C_ab
+    c = np.sum(blocks[:1] * z[None, None, :, 1], axis=2)  # c_0 = C_01 z_1
+    if uniform:  # the one pair's block sits on the diagonal of the one (x, y)
+        c, blocks = n * c, n * (n - 1) * blocks
+        first = second = np.zeros(1, dtype=int)
+    else:  # c_a = C_0a^T z_0
+        c = np.concatenate((c, np.sum(blocks[:n - 1] * z[None, :, None, 0], axis=1)))
+    c = c.transpose(1, 0, 2)  # (3, m, rows)
+    xs, ys = _as_columns(x, y, uniform)
+    frames = _complex_frames(xs, ys)
+    grad = np.sum(frames * c[:, None], axis=0).real  # (4, m, rows)
+    radial = np.stack((np.sum(xs * c.real, axis=0), -np.sum(ys * c.imag, axis=0)))
+    # Re(F_a^T C_ab F_b) for every pair; einsum keeps no product temporaries
+    half = np.einsum("jpqr,jkqr->pkqr", frames[:, :, first], blocks.transpose(1, 2, 0, 3))
+    pair_hess = np.einsum("pkqr,ksqr->psqr", half, frames[:, :, second]).real
+    m = c.shape[1]
+    hess = np.zeros((m, 4, m, 4, rows))
+    if uniform:
+        hess[0, :, 0] = pair_hess[:, :, 0]
+    else:
+        hess[first, :, second] = pair_hess.transpose(2, 0, 1, 3)
+        hess[second, :, first] = pair_hess.transpose(2, 1, 0, 3)
+    qubit, coord = np.divmod(np.arange(4 * m), 4)
+    hess[qubit, coord, qubit, coord] -= np.repeat(radial, 2, axis=0)[coord, qubit]
+    # mu is homogeneous of degree n, so u . grad = n mu
+    value = radial.sum(axis=(0, 1)) / n
+    return (value, grad.transpose(2, 1, 0).reshape(rows, 4 * m),
+            hess.reshape(4 * m, 4 * m, rows).transpose(2, 0, 1), frames)
+
+
+def _retract(x, y, frames, step, uniform: bool):
+    """Settings moved by tangent ``step`` along ``frames``, back on the spheres."""
+    xs, ys = _as_columns(x, y, uniform)
+    moves = step.reshape(xs.shape[2], xs.shape[1], 4).transpose(2, 1, 0)
+    moved = xs + 1j * ys + np.sum(frames * moves, axis=1)
+    new = np.stack((moved.real, moved.imag))
+    new /= np.linalg.norm(new, axis=1, keepdims=True)
+    new = new.transpose(0, 3, 2, 1)  # (2, rows, m, 3)
+    return np.broadcast_to(new[0], x.shape), np.broadcast_to(new[1], y.shape)
+
+
+def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float):
+    """Damped Newton steps until no row gains more than ``tol``.
+
+    Each step solves (delta I - H) step = grad, where delta = DAMPING *
+    max|H| only keeps the solve regular along the flat orbit directions, in
+    which the gradient has no component.  A row takes its step only if that
+    raises its value, and retires once a step gains it ``tol`` or less: a
+    rejected step would be proposed again unchanged.  Updates x and y in
+    place; returns the values and the number of steps.
+    """
+    values, grad, hess, frames = _tangent_model(tensor, x, y, sign, uniform)
+    diag = np.arange(grad.shape[1])
+    active = np.arange(values.size)
+    steps = 0
+    while active.size and steps < NEWTON_CAP:
+        delta = DAMPING * np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2)))
+        system = -hess
+        system[:, diag, diag] += delta[:, None]
+        try:
+            step = np.linalg.solve(system, grad[..., None])
+        except np.linalg.LinAlgError:  # an exactly singular row: keep the settings
+            break
+        new_x, new_y = _retract(x[active], y[active], frames, step, uniform)
+        new_values, grad, hess, frames = _tangent_model(
+            tensor, new_x, new_y, sign[active], uniform)
+        steps += 1
+        gain = new_values - values[active]
+        up = gain > 0
+        moved = active[up]
+        x[moved], y[moved], values[moved] = new_x[up], new_y[up], new_values[up]
+        # only rows that moved by more than tol go on, from their new model
+        going = gain > tol
+        active, grad, hess = active[going], grad[going], hess[going]
+        frames = frames[..., going]
+    return values, steps
+
+
+def _sweeps_left(gain: float, last: float, target: float) -> float:
+    """First-order sweeps until the gain falls to ``target`` at rate gain / last.
+
+    With no earlier gain (``last`` infinite) the rate is unknown and this is
+    0, so that one more sweep measures it.
+    """
+    rate = gain / last
+    if rate >= 1.0:
+        return math.inf
+    return math.log(target / gain) / math.log(rate) if rate > 0.0 else 0.0
+
+
+def _curvature_signal(hess: np.ndarray) -> tuple[int, float]:
+    """Orbit dimension and largest remaining eigenvalue of one tangent Hessian.
+
+    Eigenvalues within TOL_FLAT of the largest |eigenvalue| count as flat
+    (along the orbit of optima); the curvature is the largest of the rest,
+    or 0.0 if every eigenvalue is flat.
+    """
+    eig = np.linalg.eigvalsh(hess)
+    flat = np.abs(eig) <= TOL_FLAT * np.max(np.abs(eig))
+    curved = eig[~flat]
+    return int(np.count_nonzero(flat)), float(curved.max()) if curved.size else 0.0
+
+
 @dataclass
 class BoundResult:
     """Outcome of a maximization run over measurement settings.
 
     ``starts`` is the number of starts per sign branch, ``sweeps`` the number
-    of ascent sweeps run, and ``basin_hits`` the number of rows (over both
-    branches) that ended within TOL_BASIN of the best value.
+    of first-order sweeps run, ``newton_steps`` the number of Newton steps
+    after them, and ``basin_hits`` the number of rows (over both branches)
+    that ended within TOL_BASIN of the best value.  ``orbit_dim`` and
+    ``curvature`` read the tangent Hessian at the winner: the number of flat
+    directions (the orbit of optima through it) and the largest remaining
+    eigenvalue, which is negative at a strict local maximum up to the orbit.
     """
 
     value: float
@@ -250,6 +429,9 @@ class BoundResult:
     starts: int | None = None
     sweeps: int | None = None
     basin_hits: int | None = None
+    newton_steps: int | None = None
+    orbit_dim: int | None = None
+    curvature: float | None = None
 
     @property
     def gap(self) -> float | None:
@@ -266,22 +448,27 @@ def maximize(
     """Largest |mu| over settings via a batched, seeded multistart ascent.
 
     Each of ``starts`` seeded random unit-vector starts runs once per sign
-    branch (maximizing mu and -mu), all as rows of one array.  General mode
-    is a see-saw: each qubit's (x, y) in turn jumps to its exact optimum with
-    the others fixed.  Uniform mode is a shifted power ascent on the
-    symmetrized tensor, so states that are not permutation symmetric are
-    handled too.  Sweeps stop when no row gains more than TOL_GAIN relative
-    to the largest |mu|, or at SWEEP_CAP.  The run is bit-deterministic for a
-    fixed seed; ties keep the earliest row.  The reported value is the
-    dense-matrix |mu| at the winning setting.
+    branch (maximizing mu and -mu), all as rows of one array.  A first-order
+    phase runs until no row gains more than TOL_COARSE relative to the
+    largest |mu| and the per-sweep rate of that gain leaves more than
+    POLISH_SWEEPS sweeps to TOL_GAIN, or until SWEEP_CAP sweeps.  General
+    mode is a see-saw: each qubit's (x, y) in turn jumps to its exact
+    optimum with the others fixed.  Uniform mode is a shifted power ascent
+    on the symmetrized tensor, so states that are not permutation symmetric
+    are handled too.  Unless that phase already met TOL_GAIN, damped
+    Riemannian Newton steps then polish every row until none gains more
+    than TOL_GAIN.  The run is bit-deterministic for a fixed seed; ties keep
+    the earliest row.  The reported value is the dense-matrix |mu| at the
+    winning setting.
     """
     if mode not in ("uniform", "general"):
         raise ValueError(f"unknown mode {mode!r}")
     n = v.n
-    if n not in (3, 4):
-        raise ValueError(f"unsupported qubit count {n}; expected 3 or 4")
+    check_qubit_count(n)
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
+    if starts > MAX_STARTS:
+        raise ValueError(f"starts {starts} refused (above {MAX_STARTS})")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     tensor = _pauli_expectation_tensor(v)
@@ -290,7 +477,8 @@ def maximize(
     x = _random_units(rng, (rows, n, 3))
     y = _random_units(rng, (rows, n, 3))
     sign = np.repeat([1.0, -1.0], starts)
-    if mode == "uniform":
+    uniform = mode == "uniform"
+    if uniform:
         tensor = _symmetrized(tensor)
         # bounds the Hessian of mu in (x, y) over |x|, |y| <= 1, where
         # |z| <= sqrt(2): a shift this large makes every step an ascent
@@ -303,19 +491,38 @@ def maximize(
 
     values = sweep()
     sweeps = 1
+    gain = scale = math.inf
     while sweeps < SWEEP_CAP:
         previous, values = values, sweep()
         sweeps += 1
-        if np.max(values - previous) <= TOL_GAIN * max(1.0, np.max(np.abs(values))):
+        scale = max(1.0, np.max(np.abs(values)))
+        last, gain = gain, np.max(values - previous)
+        if gain <= TOL_GAIN * scale:
             break
+        # hand over once converging, unless the sweeps left cost less than a polish
+        if (gain <= TOL_COARSE * scale
+                and _sweeps_left(gain, last, TOL_GAIN * scale) > POLISH_SWEEPS):
+            break
+    newton_steps = 0
+    if gain > TOL_GAIN * scale:
+        # rows are independent; blocks keep the Hessians and their solves small
+        for block in range(0, rows, POLISH_ROWS):
+            part = slice(block, block + POLISH_ROWS)
+            values[part], steps = _newton_polish(tensor, x[part], y[part], sign[part],
+                                                 uniform, TOL_GAIN * scale)
+            newton_steps = max(newton_steps, steps)
 
     best = int(np.argmax(values))
+    at_best = slice(best, best + 1)
+    hess = _tangent_model(tensor, x[at_best], y[at_best], sign[at_best], uniform)[2]
+    orbit_dim, curvature = _curvature_signal(hess[0])
     setting = MeasurementSetting(x[best], y[best])
     # report the dense-matrix value at the winning setting
     value = abs(expectation(v, setting))
     return BoundResult(
         value=value, setting=setting, target=target, starts=starts, sweeps=sweeps,
         basin_hits=int(np.count_nonzero(values >= values[best] - TOL_BASIN)),
+        newton_steps=newton_steps, orbit_dim=orbit_dim, curvature=curvature,
     )
 
 

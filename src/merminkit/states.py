@@ -79,10 +79,15 @@ class StateVector:
         return cls(int(data["n"]), [complex(re, im) for re, im in data["amps"]])
 
 
-def ghz(n: int) -> StateVector:
-    """GHZ state: unit amplitudes on e_{1,...,1} and e_{2,...,2}."""
+def check_qubit_count(n: int) -> None:
+    """Refuse any qubit count other than the supported 3 and 4."""
     if n not in (3, 4):
         raise ValueError(f"unsupported qubit count {n}; expected 3 or 4")
+
+
+def ghz(n: int) -> StateVector:
+    """GHZ state: unit amplitudes on e_{1,...,1} and e_{2,...,2}."""
+    check_qubit_count(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1
     amps[(1 << n) - 1] = 1
@@ -91,8 +96,7 @@ def ghz(n: int) -> StateVector:
 
 def dicke(n: int, m: int) -> StateVector:
     """Dicke state of degree m: unit amplitudes on all weight-m basis words."""
-    if n not in (3, 4):
-        raise ValueError(f"unsupported qubit count {n}; expected 3 or 4")
+    check_qubit_count(n)
     if not 1 <= m <= n // 2:
         raise ValueError(f"degree {m} out of range 1..{n // 2} for {n} qubits")
     amps = np.zeros(1 << n, dtype=complex)

@@ -1,6 +1,7 @@
 """Tests for dense Mermin operators, closed-form expectations, and maxima."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -363,3 +364,140 @@ class TestFastPath:
                 fast = float(np.real(np.einsum(bd._EINSUM_SUBS[n], tensor, *zs)))
                 assert fast == pytest.approx(bd.expectation(state, setting),
                                              abs=1e-9)
+
+
+# flat directions of the tangent Hessian at each catalog winner (its orbit)
+CATALOG_ORBIT_DIM = {
+    ("u3", "general"): 2, ("u4", "general"): 3, ("v31", "general"): 1,
+    ("v41", "general"): 1, ("v42", "general"): 4,
+    ("u3", "uniform"): 0, ("u4", "uniform"): 0, ("v31", "uniform"): 1,
+    ("v41", "uniform"): 1, ("v42", "uniform"): 1,
+}
+
+
+def einsum_value(tensor, x, y, sign):
+    """sign * mu per row through the literal _EINSUM_SUBS contraction."""
+    n = x.shape[1]
+    return np.array([
+        s * float(np.real(np.einsum(bd._EINSUM_SUBS[n], tensor,
+                                    *(xr[a] + 1j * yr[a] for a in range(n)))))
+        for xr, yr, s in zip(x, y, sign)
+    ])
+
+
+class TestNewtonPolish:
+    @staticmethod
+    def setup_rows(n, mode, seed, rows=3):
+        rng = np.random.default_rng(seed)
+        v = StateVector(n, rng.standard_normal(1 << n)
+                        + 1j * rng.standard_normal(1 << n))
+        tensor = bd._pauli_expectation_tensor(v)
+        if mode == "uniform":
+            tensor = bd._symmetrized(tensor)
+        x = bd._random_units(rng, (rows, n, 3))
+        y = bd._random_units(rng, (rows, n, 3))
+        if mode == "uniform":
+            x[:] = x[:, :1]
+            y[:] = y[:, :1]
+        sign = rng.choice([1.0, -1.0], size=rows)
+        return tensor, x, y, sign
+
+    @staticmethod
+    def moved_value(tensor, x, y, sign, frames, step):
+        """sign * mu after moving every sphere of every row by the tangent
+        ``step`` along its frame and renormalizing."""
+        # a uniform step (one frame, m = 1) broadcasts over the qubits
+        dz = np.einsum("jpar,ap->raj", frames, step.reshape(frames.shape[2], 4))
+        new_x, new_y = x + dz.real, y + dz.imag
+        new_x = new_x / np.linalg.norm(new_x, axis=-1, keepdims=True)
+        new_y = new_y / np.linalg.norm(new_y, axis=-1, keepdims=True)
+        return einsum_value(tensor, new_x, new_y, sign)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("mode", ["general", "uniform"])
+    def test_model_matches_finite_differences(self, n, mode):
+        tensor, x, y, sign = self.setup_rows(n, mode, 7300 + n)
+        value, grad, hess, frames = bd._tangent_model(tensor, x, y, sign,
+                                                      mode == "uniform")
+        dim = 4 if mode == "uniform" else 4 * n
+        assert grad.shape == (3, dim) and hess.shape == (3, dim, dim)
+        assert np.allclose(value, einsum_value(tensor, x, y, sign), atol=1e-12)
+        # the frames are orthonormal and tangent to their unit vectors
+        basis = np.concatenate((frames[:, :2].real, frames[:, 2:].imag), axis=2)
+        m = frames.shape[2]
+        units = np.concatenate((x[:, :m], y[:, :m]), axis=1).transpose(2, 1, 0)
+        assert np.allclose(np.einsum("jpar,jqar->pqar", basis, basis),
+                           np.eye(2)[:, :, None, None], atol=1e-14)
+        assert np.allclose(np.einsum("jpar,jar->par", basis, units), 0, atol=1e-14)
+
+        def f(step):
+            return self.moved_value(tensor, x, y, sign, frames, step)
+
+        eye = np.eye(dim)
+        h = 1e-5
+        fd_grad = np.stack([(f(h * e) - f(-h * e)) / (2 * h) for e in eye], axis=1)
+        assert np.allclose(grad, fd_grad, atol=1e-7)
+        h = 1e-4
+        fd_hess = np.empty_like(hess)
+        for i, j in product(range(dim), repeat=2):
+            ei, ej = h * eye[i], h * eye[j]
+            fd_hess[:, i, j] = (f(ei + ej) - f(ei - ej) - f(ej - ei)
+                                + f(-ei - ej)) / (4 * h * h)
+        assert np.allclose(hess, fd_hess, atol=1e-5 * max(1.0, np.abs(hess).max()))
+
+    @pytest.mark.parametrize("n,mode", [(3, "general"), (4, "general"),
+                                        (3, "uniform"), (4, "uniform")])
+    def test_newton_steps_never_lower_a_row(self, n, mode, monkeypatch):
+        tensor, x, y, sign = self.setup_rows(n, mode, 7400 + n, rows=24)
+        previous = einsum_value(tensor, x, y, sign)
+        for cap in range(1, 6):
+            monkeypatch.setattr(bd, "NEWTON_CAP", cap)
+            xc, yc = x.copy(), y.copy()
+            values, steps = bd._newton_polish(tensor, xc, yc, sign, mode == "uniform",
+                                              1e-15)
+            assert steps <= cap
+            current = einsum_value(tensor, xc, yc, sign)
+            assert np.allclose(values, current, atol=1e-12)
+            assert np.all(current >= previous - 1e-12)
+            previous = current
+
+    def test_sweeps_left_needs_a_rate(self):
+        assert bd._sweeps_left(1e-8, math.inf, 1e-15) == 0.0
+        assert bd._sweeps_left(1e-7, 1e-8, 1e-15) == math.inf
+        assert bd._sweeps_left(1e-8, 1e-7, 1e-15) == pytest.approx(7.0)
+
+    def test_slow_uniform_seed_converges(self):
+        # one start here escapes the mu = 0 critical point slowly; the polish
+        # must not wait for it
+        result = bd.maximize(bd.bound_state("v42"), mode="uniform",
+                             seed=bd.DEFAULT_SEED + 2, target=bd.EXACT_BOUNDS["v42"])
+        assert result.sweeps < 600
+        assert result.gap < 1e-12
+
+    @pytest.mark.parametrize("state_id,mode", [("v31", "general"), ("v42", "uniform")])
+    def test_polished_gap_over_seeds(self, state_id, mode):
+        for k in range(6):
+            result = bd.maximize(bd.bound_state(state_id), mode=mode,
+                                 seed=bd.DEFAULT_SEED + k,
+                                 target=bd.EXACT_BOUNDS[state_id])
+            assert result.gap < 1e-12, k
+
+    @pytest.mark.parametrize("state_id,mode", sorted(CATALOG_ORBIT_DIM))
+    def test_hessian_trust_signal(self, state_id, mode):
+        result = bd.maximize(bd.bound_state(state_id), mode=mode)
+        assert result.curvature < 0
+        assert result.orbit_dim == CATALOG_ORBIT_DIM[state_id, mode]
+        assert result.newton_steps >= 0
+
+    def test_polished_run_is_bit_deterministic(self):
+        a = bd.maximize(bd.bound_state("v31"), mode="general", seed=5)
+        b = bd.maximize(bd.bound_state("v31"), mode="general", seed=5)
+        assert a.newton_steps > 0
+        assert (a.value, a.sweeps, a.newton_steps, a.basin_hits, a.curvature) == (
+            b.value, b.sweeps, b.newton_steps, b.basin_hits, b.curvature)
+        assert np.array_equal(a.setting.x, b.setting.x)
+        assert np.array_equal(a.setting.y, b.setting.y)
+
+    def test_starts_above_cap_refused(self):
+        with pytest.raises(ValueError, match="refused"):
+            bd.maximize(ghz(3), starts=bd.MAX_STARTS + 1)

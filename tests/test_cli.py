@@ -309,3 +309,13 @@ def test_negative_seed_names_the_flag_and_value():
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
     assert "seed" in line and "-1" in line
+
+
+def test_starts_above_cap_is_one_line_error():
+    # refused before any start is drawn, so this allocates nothing large
+    result = run_cli("bounds", "--state", "u3", "--starts", "4097")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "merminkit: error: starts 4097 refused (above 4096)"
+    ]

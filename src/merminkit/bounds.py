@@ -23,7 +23,7 @@ from itertools import chain, combinations, permutations, product
 
 import numpy as np
 
-from .states import StateVector, catalog_state, check_qubit_count
+from .states import StateVector, catalog_state, check_qubit_count, unit_scaled
 
 TOL_UNIT = 1e-10
 DEFAULT_SEED = 0x4D45524D
@@ -37,11 +37,9 @@ _PAULI = np.array(
     dtype=complex,
 )
 
-# the catalog states with a known exact bound; built by states.catalog_state
-BOUND_STATE_IDS = ("u3", "u4", "v31", "v41", "v42")
 bound_state = catalog_state
 
-# exact optimum of |mu| over all settings, per catalog state
+# exact optimum of |mu| over all settings, per catalog state with a known bound
 EXACT_BOUNDS = {
     "u3": 4.0,
     "u4": 8.0,
@@ -49,6 +47,7 @@ EXACT_BOUNDS = {
     "v41": 4.5,
     "v42": 6.0,
 }
+BOUND_STATE_IDS = tuple(EXACT_BOUNDS)
 
 # optimal |x3|, |y3| for the W state; signs form the orbit (s*a, t*b)
 W_OPT_X3 = math.sqrt(3.0 * math.sqrt(41.0) - 13.0) / (3.0 * math.sqrt(2.0))
@@ -141,10 +140,9 @@ def mermin_operator(n: int, setting: MeasurementSetting) -> np.ndarray:
 
 def expectation(v: StateVector, setting: MeasurementSetting) -> float:
     """Normalized expectation <v, M v> / <v, v>; real for Hermitian M."""
-    if v.norm_sq == 0:
-        raise ValueError("state is identically zero")
+    u = unit_scaled(v)
     m = mermin_operator(v.n, setting)
-    value = complex(np.vdot(v.amps, m @ v.amps)) / v.norm_sq
+    value = complex(np.vdot(u.amps, m @ u.amps)) / u.norm_sq
     if abs(value.imag) > 1e-9:
         raise ValueError(f"expectation {value} is not real")
     return float(value.real)
@@ -177,11 +175,12 @@ def _pauli_expectation_tensor(v: StateVector) -> np.ndarray:
     mu = Re T[j1..jn] z_{1,j1} ... z_{n,jn}.
     """
     n = v.n
-    psi = v.amps.reshape((2,) * n)
+    u = unit_scaled(v)
+    psi = u.amps.reshape((2,) * n)
     paulis = ",".join(_LETTERS[a] + _BRA[a] + _KET[a] for a in range(n))
     subs = f"{_BRA[:n]},{paulis},{_KET[:n]}->{_LETTERS[:n]}"
     tensor = np.einsum(subs, psi.conj(), *([_PAULI] * n), psi, optimize=True)
-    return tensor.real / v.norm_sq
+    return tensor.real / u.norm_sq
 
 
 def _contract_except(tensor: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:

@@ -8,14 +8,13 @@ which is what makes the eigenproblem a small linear system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .pauli import TOL_ALG, PauliSum, PauliWord, identity, sigma
-from .states import StateVector, catalog_state, is_exchange_symmetric
+from .pauli import TOL_ALG, PauliSum, PauliWord, identity, render_word, sigma
+from .states import StateVector, catalog_state, is_exchange_symmetric, unit_scaled
 
 TOL_RANK = 1e-9
 
@@ -33,12 +32,9 @@ _TAU4_I_WORDS = {i: (w, tuple(3 - j for j in w))
 _TAU4_IJ_WORDS = {(i, j): tuple(w for w in _TAU4_WORDS if w[i - 1] == j)
                   for i in (1, 2, 3, 4) for j in (1, 2)}
 
-# Triples of two-s2 words whose product equals -s(1,1,1,1) (x list) or
-# -s(2,2,2,2) (y list): the words of tau4_i1 and tau4_i2.  The n=3 analogue
-# is the single triple for -s(1,1,1), the words of tau3.
+# The words of tau3, whose product is -s(1,1,1).  The n=4 analogues are the
+# words of each tau4_ij, whose product is -s(j,j,j,j).
 GHZ3_FACTOR_WORDS = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
-GHZ4_FACTORIZATIONS_X = tuple(_TAU4_IJ_WORDS[(i, 1)] for i in (1, 2, 3, 4))
-GHZ4_FACTORIZATIONS_Y = tuple(_TAU4_IJ_WORDS[(i, 2)] for i in (1, 2, 3, 4))
 
 
 def word_sum(words) -> PauliSum:
@@ -162,18 +158,14 @@ def eigen_basis(v: StateVector) -> EigenBasis:
     vectors c with A c parallel to v (kernel of A projected orthogonal to v),
     and reads each eigenvalue off as <v, A c> / <v, v>.  The returned basis is
     the reduced row-echelon form of the solution space over the candidate
-    word ordering, so it is deterministic.  The solve runs on v times the
-    power of two that brings its largest amplitude into [0.5, 1): that
-    factor is exact, so the absolute ``TOL_RANK`` decides rank the same way
-    at every scale.
+    word ordering, so it is deterministic.  The solve runs on
+    ``unit_scaled(v)``: its factor is exact, so the absolute ``TOL_RANK``
+    decides rank the same way at every scale.
     """
-    top = float(np.max(np.abs(v.amps)))
-    if not is_exchange_symmetric(v, tol=TOL_ALG * top):
+    u = unit_scaled(v)
+    if not is_exchange_symmetric(u, tol=TOL_ALG * float(np.max(np.abs(u.amps)))):
         raise ValueError("state is not symmetric under the e1<->e2 exchange")
-    if v.norm_sq == 0:
-        raise ValueError("state is identically zero")
     n = v.n
-    u = StateVector(n, v.amps * 2.0 ** -math.frexp(top)[1])
     words = candidate_words(n)
     a = np.column_stack([sigma(*w).apply(u).amps for w in words])
     overlap = u.amps.conj() @ a / u.norm_sq
@@ -253,21 +245,12 @@ def verify_identities() -> list[IdentityCheck]:
     s1111 = sigma(1, 1, 1, 1)
     s2222 = sigma(2, 2, 2, 2)
 
-    a, b, c = (sigma(*w) for w in GHZ3_FACTOR_WORDS)
-    add("s(1,1,1) == -s(1,2,2)*s(2,1,2)*s(2,2,1)", s111, -1.0 * (a * b * c))
-
-    for words in GHZ4_FACTORIZATIONS_X:
+    factorizations = [((1, 1, 1), GHZ3_FACTOR_WORDS)] + [
+        ((j,) * 4, _TAU4_IJ_WORDS[(i, j)]) for j in (1, 2) for i in (1, 2, 3, 4)]
+    for ghz, words in factorizations:
         p, q, r = (sigma(*w) for w in words)
-        name = "s(1,1,1,1) == -" + "*".join(
-            "s(" + ",".join(map(str, w)) + ")" for w in words
-        )
-        add(name, s1111, -1.0 * (p * q * r))
-    for words in GHZ4_FACTORIZATIONS_Y:
-        p, q, r = (sigma(*w) for w in words)
-        name = "s(2,2,2,2) == -" + "*".join(
-            "s(" + ",".join(map(str, w)) + ")" for w in words
-        )
-        add(name, s2222, -1.0 * (p * q * r))
+        add(f"{render_word(ghz)} == -" + "*".join(map(render_word, words)),
+            sigma(*ghz), -1.0 * (p * q * r))
 
     prod = identity(4)
     for w in _TAU4_WORDS:

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PauliSum, sigma
 from . import eigenops
 
 _CHUNK = 1 << 18  # assignments processed per numpy block
+# largest absolute coefficient sum of an expression: it bounds the value v,
+# and -v**3 + 28 v, the widest check below, fits in int64 for |v| < 2**21
+MAX_COEFF_SUM = 1 << 20
 
 # integer-exact checks for "poly(value) == target", poly None meaning the value
 # itself; the cubics compare cleared denominators
@@ -119,9 +122,18 @@ class DeviceVerdict:
 
 
 def _monomials_of(expr: PauliSum) -> list[tuple[int, tuple[int, ...]]]:
-    """Integer-coefficient monomials (coeff, letters); rejects I/s3 letters."""
+    """Integer-coefficient monomials (coeff, letters); rejects I/s3 letters.
+
+    Also refuses coefficients whose magnitudes sum above MAX_COEFF_SUM, so
+    the int64 evaluation and polynomial checks never wrap.
+    """
+    terms = list(expr.terms())
+    total = sum(abs(coeff) for _, coeff in terms)
+    if not total <= MAX_COEFF_SUM:
+        raise ValueError(f"coefficient magnitudes sum to {total:g}, above the "
+                         f"exact-evaluation limit {MAX_COEFF_SUM}")
     monomials = []
-    for letters, coeff in expr.terms():
+    for letters, coeff in terms:
         if any(j not in (1, 2) for j in letters):
             raise ValueError(
                 "expression contains identity or s3 letters; "
@@ -217,57 +229,35 @@ def parity_certificate(system: InstructionalSystem) -> list[int] | None:
 # -- device catalog -----------------------------------------------------------
 
 
-def _eq(words_or_sum, target: int, poly: str | None = None) -> Equation:
-    if isinstance(words_or_sum, PauliSum):
-        expr = words_or_sum
-    else:
-        expr = eigenops.word_sum(words_or_sum)
-    return Equation(expr=expr, target=target, poly=poly)
-
-
-def _sigma_eq(letters: tuple[int, ...], target: int) -> Equation:
-    return _eq((letters,), target)
-
-
 def _build_devices() -> dict[str, InstructionalSystem]:
-    devices: dict[str, InstructionalSystem] = {}
+    """Each device is a selection of one catalog eigen-row's operators.
 
-    ghz3_eqs = [_sigma_eq((1, 1, 1), 1)] + [
-        _sigma_eq(w, -1) for w in eigenops.GHZ3_FACTOR_WORDS
-    ]
-    devices["u3"] = InstructionalSystem(3, ghz3_eqs)
-    devices["u3-last3"] = InstructionalSystem(3, ghz3_eqs[1:])
+    An equation targets its operator's row eigenvalue.  The ``relaxed``
+    operator t is checked through f3 instead, against the row eigenvalue of
+    f3(t).
+    """
+    rows = {state_id: eigenops.catalog_basis(state_id) for state_id in eigenops.STATE_IDS}
+    gammas = {state_id: dict(zip(row.operators, row.eigenvalues))
+              for state_id, row in rows.items()}
 
-    for k in range(8):
-        factors = (eigenops.GHZ4_FACTORIZATIONS_X,
-                   eigenops.GHZ4_FACTORIZATIONS_Y)[k % 2][k // 2]
-        eqs = [_sigma_eq((k % 2 + 1,) * 4, 1)] + [_sigma_eq(w, -1) for w in factors]
-        devices[f"u4-{k + 1}"] = InstructionalSystem(4, eqs)
+    def device(state_id: str, operators, relaxed=None) -> InstructionalSystem:
+        gamma = gammas[state_id]
+        return InstructionalSystem(rows[state_id].state.n, [
+            Equation(op, int(gamma[eigenops.f3(op)]), "f3") if op is relaxed
+            else Equation(op, int(gamma[op])) for op in operators])
 
-    devices["v31~"] = InstructionalSystem(
-        3, [_sigma_eq((1, 1, 1), 1), _eq(eigenops.tau3(), 1)]
-    )
-    devices["v31~-relaxed"] = InstructionalSystem(
-        3, [_sigma_eq((1, 1, 1), 1), _eq(eigenops.tau3(), 1, poly="f3")]
-    )
-
-    devices["v41~"] = InstructionalSystem(
-        4,
-        [_sigma_eq((1, 1, 1, 1), 1)]
-        + [_eq(eigenops.tau4_i(i), 0) for i in (1, 2, 3)]
-        + [_sigma_eq((2, 2, 2, 2), -1)],
-    )
-
+    u3, v31, v41 = (rows[state_id].operators for state_id in ("u3", "v31~", "v41~"))
+    devices = {"u3": device("u3", u3), "u3-last3": device("u3", u3[1:]),
+               "v31~": device("v31~", v31),
+               "v31~-relaxed": device("v31~", v31, relaxed=v31[1]),
+               "v41~": device("v41~", v41)}
     for i in (1, 2, 3, 4):
         for j in (1, 2):
-            devices[f"v42~-{i}-{j}"] = InstructionalSystem(
-                4,
-                [
-                    _sigma_eq((1, 1, 1, 1), 1),
-                    _eq(eigenops.tau4_ij(i, j), 1),
-                    _sigma_eq((2, 2, 2, 2), 1),
-                ],
-            )
+            tau = eigenops.tau4_ij(i, j)
+            devices[f"u4-{2 * i + j - 2}"] = device(
+                "u4", [sigma(*(j,) * 4)] + [sigma(*w) for w, _ in tau.terms()])
+            devices[f"v42~-{i}-{j}"] = device(
+                "v42~", [sigma(1, 1, 1, 1), tau, sigma(2, 2, 2, 2)])
     return devices
 
 

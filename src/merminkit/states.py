@@ -8,6 +8,7 @@ j=2 -> bit 1 and qubit 1 in the most significant position.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,6 +78,20 @@ class StateVector:
     @classmethod
     def from_json_dict(cls, data: dict) -> "StateVector":
         return cls(int(data["n"]), [complex(re, im) for re, im in data["amps"]])
+
+
+def unit_scaled(v: StateVector) -> StateVector:
+    """v times the power of two that brings its largest amplitude into [0.5, 1).
+
+    The factor is exact, so ratios such as <v, M v> / <v, v> keep every bit,
+    while the squared norm of the result can neither underflow nor overflow.
+    ``ldexp`` scales the real and imaginary parts, so a subnormal largest
+    amplitude needs no unrepresentable factor.
+    """
+    top = float(np.max(np.abs(v.amps)))
+    if top == 0:
+        raise ValueError("state is identically zero")
+    return StateVector(v.n, np.ldexp(v.amps.view(float), -math.frexp(top)[1]).view(complex))
 
 
 def check_qubit_count(n: int) -> None:

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from merminkit import bounds as bd
-from merminkit.states import StateVector, dicke, ghz, sym_dicke
+from merminkit.states import StateVector, dicke, ghz, sym_coeff_count, sym_dicke
 
 from conftest import kron_word, random_nonzero_coeffs, random_unit_vector
 
@@ -501,3 +501,33 @@ class TestNewtonPolish:
     def test_starts_above_cap_refused(self):
         with pytest.raises(ValueError, match="refused"):
             bd.maximize(ghz(3), starts=bd.MAX_STARTS + 1)
+
+
+# scales at which the squared norm of a catalog state underflows or overflows
+_EXTREME_SCALES = [1e-200, 1e-160, 2.0 ** -540, 1e160, 1e200]
+
+
+class TestRescaledStates:
+    @pytest.mark.parametrize("scale", _EXTREME_SCALES)
+    def test_maximize_reaches_the_exact_bound(self, scale):
+        for state_id, target in bd.EXACT_BOUNDS.items():
+            v = bd.bound_state(state_id)
+            result = bd.maximize(StateVector(v.n, scale * v.amps), target=target)
+            assert result.gap < 1e-12, state_id
+
+    @pytest.mark.parametrize("scale", _EXTREME_SCALES)
+    def test_expectation_matches_the_unscaled_state(self, scale, rng):
+        for n, m in ((3, 1), (4, 1), (4, 2)):
+            v = sym_dicke(n, m, random_nonzero_coeffs(rng, sym_coeff_count(n, m)))
+            setting = random_setting(n, rng)
+            scaled = bd.expectation(StateVector(n, scale * v.amps), setting)
+            assert scaled == pytest.approx(bd.expectation(v, setting), abs=1e-12)
+
+    def test_power_of_two_scales_change_no_bit(self):
+        v = dicke(3, 1)
+        reference = bd.maximize(v)
+        for exponent in (-1060, -600, 600, 1000):
+            result = bd.maximize(StateVector(3, 2.0 ** exponent * v.amps))
+            assert result.value == reference.value
+            assert np.array_equal(result.setting.x, reference.setting.x)
+            assert np.array_equal(result.setting.y, reference.setting.y)

@@ -319,3 +319,22 @@ def test_starts_above_cap_is_one_line_error():
     assert result.stderr.splitlines() == [
         "merminkit: error: starts 4097 refused (above 4096)"
     ]
+
+
+@pytest.mark.parametrize("expr", ["12582912*s(1,1,1)", "1e30*s(1,1,1)"])
+def test_coefficient_sum_above_limit_is_one_line_error(tmp_path, capsys, expr):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"expr": expr, "target": 14680064, "poly": "f3"}]))
+    assert cli.main(["instr", "--system-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert "coefficient magnitudes sum to" in err
+
+
+@pytest.mark.parametrize("scale", ["1e-200", "1e-160", "1e200"])
+def test_eigenops_output_does_not_depend_on_scale(capsys, scale):
+    assert cli.main(["eigenops", "--state", "v41~", "--coeffs", "1,1,1,1"]) == 0
+    reference = json.loads(capsys.readouterr().out)
+    assert cli.main(["eigenops", "--state", "v41~", "--coeffs", ",".join([scale] * 4)]) == 0
+    assert json.loads(capsys.readouterr().out) == reference

@@ -235,3 +235,12 @@ class TestIdentitySuite:
         rhs = -(sum_matrix(sigma(1, 2, 2)) @ sum_matrix(sigma(2, 1, 2))
                 @ sum_matrix(sigma(2, 2, 1)))
         assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-310, 5e-324, 1e200, 1e300])
+def test_eigen_basis_at_scales_where_the_squared_norm_fails(scale):
+    # the squared norm underflows to 0 or overflows to inf at these scales
+    reference = eo.eigen_basis(eo.catalog_state("v41~"))
+    basis = eo.eigen_basis(eo.catalog_state("v41~", [scale] * 4))
+    assert basis.operators == reference.operators
+    assert basis.eigenvalues == reference.eigenvalues

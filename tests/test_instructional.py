@@ -7,7 +7,8 @@ import pytest
 
 from merminkit import eigenops as eo
 from merminkit import instructional as ins
-from merminkit.pauli import sigma
+from merminkit.pauli import parse_sum, sigma
+from merminkit.states import StateVector, catalog_state
 
 # hand-expanded instructional polynomials, written out independently of the
 # tau -> mu substitution they are checked against
@@ -383,3 +384,49 @@ class TestIndexLayout:
         assert len(witness["xi_product"]) == len(witness["eta_product"]) == report.count
         assert set(witness["xi_product"]) == {1}
         assert sum(witness["eta_product"]) == 0
+
+
+# -- devices are selections of the catalog eigen-rows ---------------------------
+
+
+@pytest.mark.parametrize("device", ins.devices())
+def test_device_equations_hold_on_their_catalog_state(device):
+    """Each operator has the device's state as an eigenvector, and the target
+    is its eigenvalue, passed through the equation's polynomial if any."""
+    state = catalog_state(device.split("-")[0])
+    for eq in ins.device_system(device).equations:
+        image = eq.expr.apply(state)
+        gamma = complex(np.vdot(state.amps, image.amps)) / state.norm_sq
+        assert image.allclose(StateVector(state.n, gamma * state.amps)), device
+        assert abs(gamma - round(gamma.real)) < 1e-12, device
+        assert ORACLE_POLYS[eq.poly](round(gamma.real)) == eq.target, device
+
+
+def test_relaxed_device_checks_tau3_through_f3():
+    equations = ins.device_system("v31~-relaxed").equations
+    assert [(eq.expr, eq.poly) for eq in equations] == [(sigma(1, 1, 1), None),
+                                                       (eo.tau3(), "f3")]
+
+
+class TestCoefficientSumLimit:
+    @pytest.mark.parametrize("expr", ["12582912*s(1,1,1)", "1e30*s(1,1,1)",
+                                      "1e999*s(1,1,1)", "1048575*s(1,1,1) - 2*s(2,2,1)"])
+    def test_equation_refuses_large_coefficient_sums(self, expr):
+        # 12582912: int64 wraps -v^3 + 7v to 6 * 14680064, which solved to 32
+        # spurious solutions; 1e30 overflowed int64 with a bare OverflowError
+        with pytest.raises(ValueError, match="coefficient magnitudes sum to"):
+            ins.Equation(parse_sum(expr), 14680064, poly="f3")
+
+    def test_evaluate_refuses_large_coefficient_sums(self):
+        with pytest.raises(ValueError, match="coefficient magnitudes sum to"):
+            ins.evaluate(parse_sum("1e30*s(1,1,1)"), ins.Assignment.from_index(0, 3))
+
+    def test_largest_allowed_sum_is_exact(self):
+        v = ins.MAX_COEFF_SUM
+        target = ORACLE_POLYS["f4"](v)
+        assert target.denominator == 1
+        expr = parse_sum(f"{v - 1}*s(1,1,1) + s(2,2,1)")
+        system = ins.InstructionalSystem(3, [ins.Equation(expr, int(target), poly="f4")])
+        expected = oracle_solutions(system)
+        assert len(expected) == 16
+        assert ins.solve(system).solutions == expected

@@ -17,6 +17,7 @@ from merminkit.states import (
     pack_basis_word,
     sym_coeff_count,
     sym_dicke,
+    unit_scaled,
     unpack_basis_word,
 )
 
@@ -196,3 +197,19 @@ class TestStateVector:
     def test_norm_sq(self):
         assert dicke(3, 1).norm_sq == 3.0
         assert ghz(4).norm_sq == 2.0
+
+
+class TestUnitScaled:
+    @pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-200, 0.75, 1.0, 3.0, 1e200, 1e307])
+    def test_one_exact_power_of_two(self, scale, rng):
+        parts = rng.standard_normal(16) * scale  # real and imaginary parts
+        u = unit_scaled(StateVector(3, parts.view(complex)))
+        assert 0.5 <= np.max(np.abs(u.amps)) < 1.0
+        # same mantissas, and one exponent shift on every nonzero part
+        mantissas, exponents = np.frexp(u.amps.view(float))
+        assert np.array_equal(mantissas, np.frexp(parts)[0])
+        assert len(set((exponents - np.frexp(parts)[1])[parts != 0].tolist())) == 1
+
+    def test_zero_state_refused(self):
+        with pytest.raises(ValueError, match="identically zero"):
+            unit_scaled(StateVector(3, np.zeros(8)))

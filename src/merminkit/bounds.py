@@ -269,82 +269,64 @@ def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, np.array(others)
 
 
-def _as_columns(x, y, uniform: bool):
-    """The moving x and y rows as (3, m, rows) arrays, m = 1 for ``uniform``."""
-    m = 1 if uniform else x.shape[1]
-    return x[:, :m].transpose(2, 1, 0), y[:, :m].transpose(2, 1, 0)
-
-
-def _complex_frames(xs, ys) -> np.ndarray:
-    """F_a = [Bx_a, i By_a] per qubit, (3, 4, m, rows): dz_a = F_a step_a."""
-    return np.concatenate((_tangent_frames(xs), 1j * _tangent_frames(ys)), axis=1)
-
-
 def _tangent_model(tensor, x, y, sign, uniform: bool):
     """Value, Riemannian gradient and Hessian of sign * mu per row.
 
     Tangent coordinates are, per qubit a, two along the frame Bx_a of x_a
-    then two along By_a (4n in all); with ``uniform`` the qubits share one
-    (x, y), whose 4 coordinates move every qubit at once.  With c_a the
-    tensor contracted with every z_b except b = a, and C_ab with a and b
-    both left open, the gradient is Re(F_a^T c_a) and block (a, b) of the
-    Hessian is Re(F_a^T C_ab F_b); same-qubit blocks are zero, since mu is
-    linear in each z_a.  Each sphere adds -(u . grad_u) I on its own
-    diagonal, the Euclidean-to-Riemannian correction.  Uniform mode takes
-    the pair (0, 1) of the symmetric tensor with factors n and n (n - 1).
-    Returns the values (rows,), gradients (rows, 4m), Hessians (rows, 4m,
-    4m) and the frames F (3, 4, m, rows), m = 1 for ``uniform``, else n.
+    then two along By_a (4n in all).  With c_a the tensor contracted with
+    every z_b except b = a, and C_ab with a and b both left open, the
+    gradient is Re(F_a^T c_a) for F_a = [Bx_a, i By_a] and block (a, b) of
+    the Hessian is Re(F_a^T C_ab F_b); same-qubit blocks are zero, since mu
+    is linear in each z_a.  Each sphere adds -(u . grad_u) I on its own
+    diagonal, the Euclidean-to-Riemannian correction.  With ``uniform`` the
+    qubits share one (x, y) whose 4 coordinates move them all, so by the
+    chain rule the gradient sums over the qubits and the Hessian over every
+    block.  Returns the values (rows,), gradients (rows, 4m), Hessians
+    (rows, 4m, 4m) and the frames F (3, 4, m, rows), m = 1 if ``uniform``.
     """
     rows, n, _ = x.shape
     first, second, others = _pair_layout(n)
-    if uniform:
-        first, second, others = first[:1], second[:1], others[:1]
     # rows last, so that each elementwise step runs over every row at once
-    z = x.transpose(2, 1, 0) + 1j * y.transpose(2, 1, 0)  # (3, n, rows)
+    z = x.T + 1j * y.T  # (3, n, rows)
     paired = np.stack([tensor.transpose((a, b, *o)).reshape(9, -1)
                        for a, b, o in zip(first, second, others)])
     rest = z[:, others[:, 0]]
     for k in range(1, n - 2):
         rest = (rest[:, None] * z[:, others[:, k]]).reshape(-1, len(first), rows)
     blocks = sign * (paired @ rest.transpose(1, 0, 2)).reshape(-1, 3, 3, rows)  # C_ab
-    c = np.sum(blocks[:1] * z[None, None, :, 1], axis=2)  # c_0 = C_01 z_1
-    if uniform:  # the one pair's block sits on the diagonal of the one (x, y)
-        c, blocks = n * c, n * (n - 1) * blocks
-        first = second = np.zeros(1, dtype=int)
-    else:  # c_a = C_0a^T z_0
-        c = np.concatenate((c, np.sum(blocks[:n - 1] * z[None, :, None, 0], axis=1)))
-    c = c.transpose(1, 0, 2)  # (3, m, rows)
-    xs, ys = _as_columns(x, y, uniform)
-    frames = _complex_frames(xs, ys)
-    grad = np.sum(frames * c[:, None], axis=0).real  # (4, m, rows)
-    radial = np.stack((np.sum(xs * c.real, axis=0), -np.sum(ys * c.imag, axis=0)))
+    # c_0 = C_01 z_1 and c_a = C_0a^T z_0
+    c = np.concatenate((np.sum(blocks[:1] * z[None, None, :, 1], axis=2),
+                        np.sum(blocks[:n - 1] * z[None, :, None, 0], axis=1)))
+    c = c.transpose(1, 0, 2)  # (3, n, rows)
+    frames = np.concatenate((_tangent_frames(x.T), 1j * _tangent_frames(y.T)), axis=1)
+    grad = np.sum(frames * c[:, None], axis=0).real  # (4, n, rows)
+    radial = np.stack((np.sum(x.T * c.real, axis=0), -np.sum(y.T * c.imag, axis=0)))
     # Re(F_a^T C_ab F_b) for every pair; einsum keeps no product temporaries
     half = np.einsum("jpqr,jkqr->pkqr", frames[:, :, first], blocks.transpose(1, 2, 0, 3))
     pair_hess = np.einsum("pkqr,ksqr->psqr", half, frames[:, :, second]).real
-    m = c.shape[1]
-    hess = np.zeros((m, 4, m, 4, rows))
-    if uniform:
-        hess[0, :, 0] = pair_hess[:, :, 0]
-    else:
-        hess[first, :, second] = pair_hess.transpose(2, 0, 1, 3)
-        hess[second, :, first] = pair_hess.transpose(2, 1, 0, 3)
-    qubit, coord = np.divmod(np.arange(4 * m), 4)
+    hess = np.zeros((n, 4, n, 4, rows))
+    hess[first, :, second] = pair_hess.transpose(2, 0, 1, 3)
+    hess[second, :, first] = pair_hess.transpose(2, 1, 0, 3)
+    qubit, coord = np.divmod(np.arange(4 * n), 4)
     hess[qubit, coord, qubit, coord] -= np.repeat(radial, 2, axis=0)[coord, qubit]
     # mu is homogeneous of degree n, so u . grad = n mu
     value = radial.sum(axis=(0, 1)) / n
+    if uniform:
+        grad, frames = grad.sum(axis=1, keepdims=True), frames[:, :, :1]
+        hess = hess.sum(axis=(0, 2), keepdims=True)
+    m = grad.shape[1]
     return (value, grad.transpose(2, 1, 0).reshape(rows, 4 * m),
             hess.reshape(4 * m, 4 * m, rows).transpose(2, 0, 1), frames)
 
 
-def _retract(x, y, frames, step, uniform: bool):
+def _retract(x, y, frames, step):
     """Settings moved by tangent ``step`` along ``frames``, back on the spheres."""
-    xs, ys = _as_columns(x, y, uniform)
-    moves = step.reshape(xs.shape[2], xs.shape[1], 4).transpose(2, 1, 0)
-    moved = xs + 1j * ys + np.sum(frames * moves, axis=1)
+    moves = step.reshape(x.shape[0], -1, 4).transpose(2, 1, 0)
+    # an m = 1 frame moves every qubit alike
+    moved = (x + 1j * y).T + np.sum(frames * moves, axis=1)
     new = np.stack((moved.real, moved.imag))
     new /= np.linalg.norm(new, axis=1, keepdims=True)
-    new = new.transpose(0, 3, 2, 1)  # (2, rows, m, 3)
-    return np.broadcast_to(new[0], x.shape), np.broadcast_to(new[1], y.shape)
+    return new[0].T, new[1].T
 
 
 def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float):
@@ -369,7 +351,7 @@ def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float):
             step = np.linalg.solve(system, grad[..., None])
         except np.linalg.LinAlgError:  # an exactly singular row: keep the settings
             break
-        new_x, new_y = _retract(x[active], y[active], frames, step, uniform)
+        new_x, new_y = _retract(x[active], y[active], frames, step)
         new_values, grad, hess, frames = _tangent_model(
             tensor, new_x, new_y, sign[active], uniform)
         steps += 1

@@ -8,6 +8,7 @@ which is what makes the eigenproblem a small linear system.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -116,7 +117,7 @@ class EigenBasis:
 
 def _rref(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form with partial pivoting; returns (rows, pivots)."""
-    m = matrix.astype(complex).copy()
+    m = matrix.astype(float)
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -141,7 +142,7 @@ def _null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
     rref, pivots = _rref(matrix, tol)
     cols = matrix.shape[1]
     free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=complex)
+    basis = np.zeros((len(free), cols))
     for k, fc in enumerate(free):
         basis[k, fc] = 1
         for row, pc in enumerate(pivots):
@@ -151,39 +152,44 @@ def _null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
     return basis
 
 
+@functools.cache
+def _word_signs(n: int) -> np.ndarray:
+    """Read-only chi[k, w] = +-1 with w e_k = chi[k, w] e_~k, from ``PauliSum.apply``.
+
+    Rows are basis indices k, columns the ``candidate_words(n)``.
+    """
+    ones = StateVector(n, np.ones(1 << n))
+    chi = np.column_stack([sigma(*w).apply(ones).amps[::-1].real
+                           for w in candidate_words(n)])
+    chi.setflags(write=False)
+    return chi
+
+
 def eigen_basis(v: StateVector) -> EigenBasis:
     """Solve C v = gamma v over the span of the candidate words.
 
-    Stacks the vectors w v as columns of a matrix A, finds all coefficient
-    vectors c with A c parallel to v (kernel of A projected orthogonal to v),
-    and reads each eigenvalue off as <v, A c> / <v, v>.  The returned basis is
-    the reduced row-echelon form of the solution space over the candidate
-    word ordering, so it is deterministic.  The solve runs on
-    ``unit_scaled(v)``: its factor is exact, so the absolute ``TOL_RANK``
-    decides rank the same way at every scale.
+    With v[~k] = v[k] and w e_k = chi[k, w] e_~k (``_word_signs``), C = sum
+    c_w w fixes v with eigenvalue gamma exactly when sum_w c_w chi[k, w] =
+    gamma at every k in the support of v, so a row depends on the support
+    alone.  The basis is the RREF of that kernel over the candidate word
+    order, so it is deterministic.  The support is read on ``unit_scaled(v)``:
+    its factor is exact, so ``TOL_RANK`` decides it the same way at every
+    scale.
     """
     u = unit_scaled(v)
     if not is_exchange_symmetric(u, tol=TOL_ALG * float(np.max(np.abs(u.amps)))):
         raise ValueError("state is not symmetric under the e1<->e2 exchange")
     n = v.n
     words = candidate_words(n)
-    a = np.column_stack([sigma(*w).apply(u).amps for w in words])
-    overlap = u.amps.conj() @ a / u.norm_sq
-    b = a - np.outer(u.amps, overlap)
-    kernel = _null_space(b, TOL_RANK)
-    # kernels of valid inputs are real spans; drop roundoff dust
-    kernel = np.where(np.abs(kernel.imag) <= TOL_RANK, kernel.real, kernel)
+    chi = _word_signs(n)[np.abs(u.amps) > TOL_RANK]
+    kernel = _null_space(chi[1:] - chi[0], TOL_RANK)
     operators: list[PauliSum] = []
     eigenvalues: list[float] = []
     for coeff_vec in kernel:
         picked = [PauliWord(w, c) for w, c in zip(words, coeff_vec)
                   if abs(c) > TOL_ALG]
-        op = PauliSum.from_words(picked) if picked else PauliSum.zero(n)
-        gamma = complex(overlap @ coeff_vec)
-        if abs(gamma.imag) > TOL_ALG:
-            raise ValueError(f"eigenvalue {gamma} is not real")
-        operators.append(op)
-        eigenvalues.append(float(gamma.real))
+        operators.append(PauliSum.from_words(picked))  # an RREF row has its pivot 1
+        eigenvalues.append(float(chi[0] @ coeff_vec))
     return EigenBasis(state=v, operators=operators, eigenvalues=eigenvalues)
 
 

@@ -19,6 +19,7 @@ times a power of i counted by popcounts, and the word sends basis index
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -143,9 +144,6 @@ class PauliSum:
 
     def coefficient(self, letters: Iterable[int]) -> complex:
         return self._terms.get(word_key(letters), 0j)
-
-    def num_terms(self) -> int:
-        return len(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -304,9 +302,12 @@ def _parse_coeff(text: str) -> complex:
     if text == "-":
         return -1.0 + 0j
     try:
-        return complex(text.replace("i", "j"))
+        coeff = complex(text.replace("i", "j"))
     except ValueError as exc:
         raise ValueError(f"bad coefficient {text!r}") from exc
+    if cmath.isnan(coeff):  # NaN compares False with every bound, so no later guard sees it
+        raise ValueError(f"coefficient {text!r} is not a number")
+    return coeff
 
 
 def _split_terms(text: str) -> list[str]:

@@ -36,11 +36,11 @@ class StateVector:
     def __init__(self, n: int, amps: Iterable[complex]):
         if n < 1:
             raise ValueError("qubit count must be >= 1")
+        # np.array copies, so the caller keeps its own array
         arr = np.array(list(amps) if not isinstance(amps, np.ndarray) else amps,
                        dtype=complex)
         if arr.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes, got {arr.shape}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", arr)

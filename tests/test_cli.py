@@ -332,6 +332,16 @@ def test_coefficient_sum_above_limit_is_one_line_error(tmp_path, capsys, expr):
     assert "coefficient magnitudes sum to" in err
 
 
+@pytest.mark.parametrize("target", [0, 1])
+def test_nan_coefficient_in_system_file_is_one_line_error(tmp_path, capsys, target):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"expr": "nan*s(1,1,1)", "target": target}]))
+    assert cli.main(["instr", "--system-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["merminkit: error: coefficient 'nan' is not a number"]
+
+
 @pytest.mark.parametrize("scale", ["1e-200", "1e-160", "1e200"])
 def test_eigenops_output_does_not_depend_on_scale(capsys, scale):
     assert cli.main(["eigenops", "--state", "v41~", "--coeffs", "1,1,1,1"]) == 0

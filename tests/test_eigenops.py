@@ -7,7 +7,7 @@ from merminkit import eigenops as eo
 from merminkit.pauli import PauliSum, render_sum, sigma
 from merminkit.states import StateVector, dicke, sym_coeff_count
 
-from conftest import random_nonzero_coeffs, sum_matrix
+from conftest import kron_word, random_nonzero_coeffs, sum_matrix
 
 # dimension of the full eigenoperator space found for each catalog state;
 # the balanced four-qubit row lists ten operators but they satisfy the
@@ -147,6 +147,40 @@ class TestEigenBasisSolver:
     def test_rejects_non_symmetric_state(self):
         with pytest.raises(ValueError):
             eo.eigen_basis(dicke(4, 1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_word_signs_match_the_kronecker_oracle(n):
+    # every candidate word sends e_k to chi[k, w] e_~k, with ~k = all bits flipped
+    chi = eo._word_signs(n)
+    assert not chi.flags.writeable
+    flip = (1 << n) - 1
+    for col, w in enumerate(eo.candidate_words(n)):
+        matrix = kron_word(w)
+        for k in range(1 << n):
+            expected = np.zeros(1 << n, dtype=complex)
+            expected[flip ^ k] = chi[k, col]
+            assert np.array_equal(matrix[:, k], expected), (w, k)
+
+
+def _random_symmetric_state(rng, n):
+    """Complex amplitudes on a random nonempty set of conjugate pairs {k, ~k}."""
+    half = 1 << (n - 1)
+    reps = [k for k in range(half) if rng.random() < 0.5] or [int(rng.integers(half))]
+    amps = np.zeros(1 << n, dtype=complex)
+    for k, c in zip(reps, random_nonzero_coeffs(rng, len(reps))):
+        amps[k] = amps[(1 << n) - 1 - k] = c
+    return StateVector(n, amps)
+
+
+def test_eigen_basis_depends_on_the_support_alone():
+    rng = np.random.default_rng(20261018)
+    for trial in range(200):
+        v = _random_symmetric_state(rng, 3 + trial % 2)
+        support = StateVector(v.n, (v.amps != 0).astype(float))
+        basis, reference = eo.eigen_basis(v), eo.eigen_basis(support)
+        assert basis.operators == reference.operators, trial
+        assert basis.eigenvalues == reference.eigenvalues, trial
 
 
 # rank decisions must not move when the state is rescaled or rephased

@@ -291,6 +291,12 @@ class TestTextForm:
         assert parse_sum("(1-2i)*s(2,1)") == sigma(2, 1, coeff=1 - 2j)
         assert parse_sum("0", n=3).is_zero()
 
+    @pytest.mark.parametrize("text", ["nan*s(1,1,1)", "-nan*s(1,1)",
+                                      "(1+nani)*s(1,1,1)", "s(1,1) + nan*s(2,2)"])
+    def test_nan_coefficient_refused(self, text):
+        with pytest.raises(ValueError, match="not a number"):
+            parse_sum(text)
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_sum("s(1,5)")

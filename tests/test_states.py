@@ -189,6 +189,12 @@ class TestStateVector:
         with pytest.raises(ValueError):
             v.amps[0] = 5
 
+    def test_input_array_is_copied(self):
+        amps = np.ones(8, dtype=complex)
+        v = StateVector(3, amps)
+        amps[0] = 5
+        assert np.array_equal(v.amps, np.ones(8))
+
     def test_json_round_trip(self, rng):
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v = StateVector(3, amps)

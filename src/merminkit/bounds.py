@@ -183,14 +183,13 @@ def _pauli_expectation_tensor(v: StateVector) -> np.ndarray:
     return tensor.real / u.norm_sq
 
 
-def _contract_except(tensor: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:
+def _contract_except(matrix: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:
     """Row-wise T contracted with every z[:, b] except b = a; shape (rows, 3)."""
-    rows = z.shape[0]
     others = [b for b in range(z.shape[1]) if b != a]
-    # axis a moves last; the others are contracted front to back
-    out = z[:, others[0]] @ np.moveaxis(tensor, a, -1).reshape(3, -1)
+    # matrix is T with axis a moved last, as (3, -1); the others go front to back
+    out = z[:, others[0]] @ matrix
     for b in others[1:]:
-        out = (z[:, b, None, :] @ out.reshape(rows, 3, -1))[:, 0]
+        out = (z[:, b, None, :] @ out.reshape(len(z), 3, -1))[:, 0]
     return out
 
 
@@ -200,10 +199,14 @@ def _random_units(rng: np.random.Generator, shape) -> np.ndarray:
     return draw / np.linalg.norm(draw, axis=-1, keepdims=True)
 
 
-def _unit_or_keep(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """Rows of ``new`` scaled to unit norm; a zero row keeps the ``old`` row."""
-    norm = np.linalg.norm(new, axis=-1, keepdims=True)
-    return np.where(norm > 0, new / np.where(norm > 0, norm, 1.0), old)
+def _set_along(z: np.ndarray, a: int, w: np.ndarray) -> np.ndarray:
+    """Set z[:, a] to the unit rows along Re w and -Im w; a zero one keeps its row."""
+    parts = np.conj(w).view(float).reshape(-1, 3, 2)
+    squares = parts * parts  # summed as np.linalg.norm sums them, bit for bit
+    norm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])[:, None]
+    np.divide(parts, norm, out=z.view(float).reshape(*z.shape, 2)[:, a],
+              where=True if (norm > 0).all() else norm > 0)  # a mask is slow
+    return norm[:, 0]
 
 
 def _symmetrized(tensor: np.ndarray) -> np.ndarray:
@@ -212,32 +215,29 @@ def _symmetrized(tensor: np.ndarray) -> np.ndarray:
     return sum(tensor.transpose(p) for p in perms) / len(perms)
 
 
-def _seesaw_sweep(tensor, x, y, sign):
-    """One pass of exact per-qubit updates; returns sign * mu per row.
+def _seesaw_sweep(matrices, z, sign):
+    """One pass of exact per-qubit updates of z; returns sign * mu per row.
 
     With the other qubits fixed, sign * mu = Re(c . x_a) - Im(c . y_a) for the
     sign-scaled contraction c, which the unit vectors along Re c and -Im c
-    maximize at |Re c| + |Im c|.
+    maximize at |Re c| + |Im c|.  ``matrices[a]`` is the matrix of ``_contract_except``.
     """
-    for a in range(x.shape[1]):
-        c = sign[:, None] * _contract_except(tensor, x + 1j * y, a)
-        x[:, a] = _unit_or_keep(c.real, x[:, a])
-        y[:, a] = _unit_or_keep(-c.imag, y[:, a])
-    return np.linalg.norm(c.real, axis=1) + np.linalg.norm(c.imag, axis=1)
+    for a, matrix in enumerate(matrices):
+        norm = _set_along(z, a, sign[:, None] * _contract_except(matrix, z, a))
+    return norm[:, 0] + norm[:, 1]
 
 
-def _power_sweep(tensor, x, y, sign, shift):
+def _power_sweep(matrix, z, sign, shift):
     """One shifted power step on a symmetric tensor with z shared by all qubits.
 
-    Returns sign * mu per row at the setting the step started from; the
-    gradient of mu in (x, y) is (Re g, -Im g) with g = n T(z, ..., z, .).
+    Updates z and returns sign * mu per row at the setting the step started
+    from; the gradient of mu in (x, y) is (Re g, -Im g) with g = n T(z, ..., z, .).
     """
-    n = x.shape[1]
-    z = x + 1j * y
-    c = sign[:, None] * _contract_except(tensor, z, n - 1)
+    n = z.shape[1]
+    c = sign[:, None] * _contract_except(matrix, z, n - 1)
     value = np.einsum("rj,rj->r", c, z[:, -1]).real
-    x[:] = _unit_or_keep(n * c.real + shift * x[:, -1], x[:, -1])[:, None]
-    y[:] = _unit_or_keep(-n * c.imag + shift * y[:, -1], y[:, -1])[:, None]
+    _set_along(z, n - 1, n * c + shift * np.conj(z[:, -1]))
+    z[:, :-1] = z[:, -1:]
     return value
 
 
@@ -455,8 +455,8 @@ def maximize(
     tensor = _pauli_expectation_tensor(v)
     rng = np.random.default_rng(seed)
     rows = 2 * starts
-    x = _random_units(rng, (rows, n, 3))
-    y = _random_units(rng, (rows, n, 3))
+    z = _random_units(rng, (rows, n, 3)) + 1j * _random_units(rng, (rows, n, 3))
+    x, y = z.real, z.imag  # views; the sweeps update z in place
     sign = np.repeat([1.0, -1.0], starts)
     uniform = mode == "uniform"
     if uniform:
@@ -464,11 +464,11 @@ def maximize(
         # bounds the Hessian of mu in (x, y) over |x|, |y| <= 1, where
         # |z| <= sqrt(2): a shift this large makes every step an ascent
         shift = n * (n - 1) * 2.0 ** ((n - 2) / 2) * float(np.linalg.norm(tensor))
-        x[:] = x[:, :1]
-        y[:] = y[:, :1]
-        sweep = partial(_power_sweep, tensor, x, y, sign, shift)
+        z[:] = z[:, :1]
+        sweep = partial(_power_sweep, tensor.reshape(3, -1), z, sign, shift)
     else:
-        sweep = partial(_seesaw_sweep, tensor, x, y, sign)
+        matrices = [np.moveaxis(tensor, a, -1).reshape(3, -1) for a in range(n)]
+        sweep = partial(_seesaw_sweep, matrices, z, sign)
 
     values = sweep()
     sweeps = 1

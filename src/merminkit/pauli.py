@@ -351,7 +351,8 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
         if m is None:
             raise ValueError(f"bad term {chunk!r}; expected [coeff*]s(j1,...,jn)")
         letters = tuple(int(j) for j in m.group(1).split(","))
-        words.append(PauliWord(letters, sign * coeff))
+        # negation, not a product: 0 * inf in a product would be a NaN part
+        words.append(PauliWord(letters, coeff if sign > 0 else -coeff))
     s = PauliSum.from_words(words)
     if n is not None and s.n != n:
         raise ValueError(f"expected {n} qubits, parsed {s.n}")

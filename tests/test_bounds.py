@@ -531,3 +531,195 @@ class TestRescaledStates:
             assert result.value == reference.value
             assert np.array_equal(result.setting.x, reference.setting.x)
             assert np.array_equal(result.setting.y, reference.setting.y)
+
+
+def qubit_matrices(tensor):
+    """Per qubit a, T with axis a moved last as (3, -1), as maximize builds them."""
+    return [np.moveaxis(tensor, a, -1).reshape(3, -1) for a in range(tensor.ndim)]
+
+
+def einsum_open(tensor, zr, a):
+    """One row's T contracted with every zr[b] except b = a, via np.einsum."""
+    n = tensor.ndim
+    others = [b for b in range(n) if b != a]
+    subs = "abcd"[:n] + "".join("," + "abcd"[b] for b in others) + "->" + "abcd"[a]
+    return np.einsum(subs, tensor, *(zr[b] for b in others))
+
+
+def sweep_setup(n, seed, rows=12, mode="general"):
+    """A seeded non-symmetric state's tensor and random unit starts z."""
+    rng = np.random.default_rng(seed)
+    v = StateVector(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
+    tensor = bd._pauli_expectation_tensor(v)
+    z = bd._random_units(rng, (rows, n, 3)) + 1j * bd._random_units(rng, (rows, n, 3))
+    if mode == "uniform":
+        tensor = bd._symmetrized(tensor)
+        z[:] = z[:, :1]
+    return tensor, z
+
+
+def maximize_shift(tensor):
+    n = tensor.ndim
+    return n * (n - 1) * 2.0 ** ((n - 2) / 2) * float(np.linalg.norm(tensor))
+
+
+def unit(vector):
+    return vector / np.linalg.norm(vector)
+
+
+class TestSweepKernels:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_seesaw_sweep_matches_einsum_reference(self, n, s):
+        tensor, z = sweep_setup(n, 8100 + n)
+        sign = np.full(len(z), s)
+        expected, expected_values = z.copy(), []
+        # each row on its own; each qubit jumps with the others fixed
+        for zr in expected:
+            for a in range(n):
+                c = s * einsum_open(tensor, zr, a)
+                zr[a] = unit(c.real) - 1j * unit(c.imag)
+            expected_values.append(np.linalg.norm(c.real) + np.linalg.norm(c.imag))
+        values = bd._seesaw_sweep(qubit_matrices(tensor), z, sign)
+        assert np.allclose(z, expected, rtol=0, atol=1e-13)
+        assert np.allclose(values, expected_values, rtol=0, atol=1e-13)
+        # which is the value at the new setting
+        assert np.allclose(values, einsum_value(tensor, z.real, z.imag, sign),
+                           rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_power_sweep_matches_einsum_reference(self, n, s):
+        tensor, z = sweep_setup(n, 8200 + n, mode="uniform")
+        sign = np.full(len(z), s)
+        shift = maximize_shift(tensor)
+        start = z.copy()
+        values = bd._power_sweep(tensor.reshape(3, -1), z, sign, shift)
+        assert np.allclose(values, einsum_value(tensor, start.real, start.imag, sign),
+                           rtol=0, atol=1e-13)
+        for zr, new in zip(start, z):
+            c = s * einsum_open(tensor, zr, n - 1)
+            step = unit(n * c.real + shift * zr[-1].real) - 1j * unit(
+                n * c.imag - shift * zr[-1].imag)
+            assert np.allclose(new, step[None], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_no_seesaw_update_lowers_a_row(self, n):
+        tensor, z = sweep_setup(n, 8300 + n, rows=24)
+        sign = np.repeat([1.0, -1.0], 12)
+        previous = einsum_value(tensor, z.real, z.imag, sign)
+        for _ in range(5):
+            for a, matrix in enumerate(qubit_matrices(tensor)):
+                bd._set_along(z, a, sign[:, None] * bd._contract_except(matrix, z, a))
+                current = einsum_value(tensor, z.real, z.imag, sign)
+                assert np.all(current >= previous - 1e-12)
+                previous = current
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_zero_tensor_keeps_every_row(self, n):
+        tensor, z = sweep_setup(n, 8400 + n)
+        tensor = np.zeros_like(tensor)
+        sign = np.repeat([1.0, -1.0], 6)
+        start = z.copy()
+        assert np.array_equal(bd._seesaw_sweep(qubit_matrices(tensor), z, sign),
+                              np.zeros(len(z)))
+        assert np.array_equal(z, start)
+        _, z = sweep_setup(n, 8400 + n, mode="uniform")
+        start = z.copy()
+        bd._power_sweep(tensor.reshape(3, -1), z, sign, 0.0)
+        assert np.array_equal(z, start)
+
+    def test_zero_part_keeps_its_row_only(self):
+        _, z = sweep_setup(3, 8450, rows=3)
+        start = z.copy()
+        # rows: both parts zero, real part zero, neither
+        w = np.array([[0, 0, 0], [3j, 0, 4j], [1, 2, 2 + 2j]])
+        norms = bd._set_along(z, 1, w)
+        assert np.array_equal(norms, [[0, 0], [0, 5], [3, 2]])
+        assert np.array_equal(z[0], start[0])
+        assert np.array_equal(z[1, 1], start[1, 1].real + [-0.6j, 0, -0.8j])
+        assert np.array_equal(z[2, 1], [1 / 3, 2 / 3, 2 / 3 - 1j])
+        assert np.array_equal(z[:, [0, 2]], start[:, [0, 2]])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("mode", ["general", "uniform"])
+    def test_settings_stay_unit_rows(self, n, mode):
+        tensor, z = sweep_setup(n, 8500 + n, mode=mode)
+        sign = np.repeat([1.0, -1.0], 6)
+        for _ in range(20):
+            if mode == "uniform":
+                bd._power_sweep(tensor.reshape(3, -1), z, sign, maximize_shift(tensor))
+            else:
+                bd._seesaw_sweep(qubit_matrices(tensor), z, sign)
+            for part in (z.real, z.imag):
+                norms = np.linalg.norm(part, axis=-1)
+                assert np.allclose(norms, 1.0, rtol=0, atol=1e-14)
+
+
+# the first-order kernels as they were before the sweeps moved onto one complex
+# array; the kernels above must reproduce them bit for bit
+
+
+def old_contract_except(tensor, z, a):
+    rows = z.shape[0]
+    others = [b for b in range(z.shape[1]) if b != a]
+    out = z[:, others[0]] @ np.moveaxis(tensor, a, -1).reshape(3, -1)
+    for b in others[1:]:
+        out = (z[:, b, None, :] @ out.reshape(rows, 3, -1))[:, 0]
+    return out
+
+
+def old_unit_or_keep(new, old):
+    norm = np.linalg.norm(new, axis=-1, keepdims=True)
+    return np.where(norm > 0, new / np.where(norm > 0, norm, 1.0), old)
+
+
+def old_seesaw_sweep(tensor, x, y, sign):
+    for a in range(x.shape[1]):
+        c = sign[:, None] * old_contract_except(tensor, x + 1j * y, a)
+        x[:, a] = old_unit_or_keep(c.real, x[:, a])
+        y[:, a] = old_unit_or_keep(-c.imag, y[:, a])
+    return np.linalg.norm(c.real, axis=1) + np.linalg.norm(c.imag, axis=1)
+
+
+def old_power_sweep(tensor, x, y, sign, shift):
+    n = x.shape[1]
+    z = x + 1j * y
+    c = sign[:, None] * old_contract_except(tensor, z, n - 1)
+    value = np.einsum("rj,rj->r", c, z[:, -1]).real
+    x[:] = old_unit_or_keep(n * c.real + shift * x[:, -1], x[:, -1])[:, None]
+    y[:] = old_unit_or_keep(-n * c.imag + shift * y[:, -1], y[:, -1])[:, None]
+    return value
+
+
+def seeded_state_n4():
+    rng = np.random.default_rng(8600)
+    return StateVector(4, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+
+
+class TestSweepBitIdentity:
+    @pytest.mark.parametrize("mode", ["general", "uniform"])
+    @pytest.mark.parametrize("state", ["u3", "v31", "v42", "random4"])
+    def test_matches_separate_part_kernels(self, state, mode):
+        v = seeded_state_n4() if state == "random4" else bd.bound_state(state)
+        n, starts = v.n, 16
+        tensor = bd._pauli_expectation_tensor(v)
+        # the starts maximize draws
+        rng = np.random.default_rng(bd.DEFAULT_SEED)
+        x = bd._random_units(rng, (2 * starts, n, 3))
+        y = bd._random_units(rng, (2 * starts, n, 3))
+        sign = np.repeat([1.0, -1.0], starts)
+        if mode == "uniform":
+            tensor = bd._symmetrized(tensor)
+            x[:], y[:] = x[:, :1], y[:, :1]
+        z = x + 1j * y
+        shift = maximize_shift(tensor)
+        for _ in range(50):
+            if mode == "uniform":
+                old = old_power_sweep(tensor, x, y, sign, shift)
+                new = bd._power_sweep(tensor.reshape(3, -1), z, sign, shift)
+            else:
+                old = old_seesaw_sweep(tensor, x, y, sign)
+                new = bd._seesaw_sweep(qubit_matrices(tensor), z, sign)
+            assert np.array_equal(new, old)
+            assert np.array_equal(z.real, x) and np.array_equal(z.imag, y)

@@ -1,5 +1,7 @@
 """Tests for the tensor-word algebra: products, actions, text form."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,14 @@ class TestTextForm:
     def test_nan_coefficient_refused(self, text):
         with pytest.raises(ValueError, match="not a number"):
             parse_sum(text)
+
+    @pytest.mark.parametrize("text,expected", [("1e999*s(1,1,1)", (math.inf, 0.0)),
+                                               ("-1e999*s(1,1,1)", (-math.inf, 0.0)),
+                                               ("1e999i*s(1,1,1)", (0.0, math.inf))])
+    def test_infinite_coefficient_has_no_nan_part(self, text, expected):
+        # the term's sign must not multiply a 0 part into 0 * inf = NaN
+        ((_, coeff),) = parse_sum(text).terms()
+        assert (coeff.real, coeff.imag) == expected
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

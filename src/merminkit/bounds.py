@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -116,26 +116,25 @@ def mermin_terms(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return terms
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, without np.kron's generic set-up."""
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
-
-
 def mermin_operator(n: int, setting: MeasurementSetting) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the signed sum of X/Y tensor words."""
     if setting.n != n:
         raise ValueError(f"setting is for {setting.n} qubits, expected {n}")
-    # per-qubit observables: row a is sum_j v_aj s_j, as in ``observable``
-    factors = (np.tensordot(setting.x, _PAULI, axes=(1, 0)),
-               np.tensordot(setting.y, _PAULI, axes=(1, 0)))
-    total = np.zeros((1 << n, 1 << n), dtype=complex)
-    for sign, pattern in mermin_terms(n):
-        term = factors[pattern[0]][0]
-        for a in range(1, n):
-            term = _kron(term, factors[pattern[a]][a])
-        total += sign * term
-    return total
+    # factors[a, p] is qubit a's X (p = 0) or Y (p = 1), made as ``observable`` makes it
+    factors = np.stack((setting.x, setting.y), 1) @ _PAULI.reshape(3, 4)
+    factors = factors.reshape(n, 2, 2, 2)
+    signs, patterns = zip(*mermin_terms(n))
+    # every word of the first n - 1 qubits, each entry a left-to-right product
+    # as in a chain of Kronecker products, the words in the order of product()
+    words = factors[0]
+    for a in range(1, n - 1):
+        words = (words[:, None, :, None, :, None]
+                 * factors[a][None, :, None, :, None, :]).reshape((2 << a,) * 3)
+    # even words only: the last letter is the parity of the ones before it
+    last = factors[n - 1][[pattern[-1] for pattern in patterns]]
+    words = words[:, :, None, :, None] * last[:, None, :, None, :]
+    signed = np.reshape(signs, (-1, 1, 1)) * words.reshape(len(signs), 1 << n, -1)
+    return np.add.reduce(signed, axis=0)
 
 
 def expectation(v: StateVector, setting: MeasurementSetting) -> float:
@@ -269,7 +268,14 @@ def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, np.array(others)
 
 
-def _tangent_model(tensor, x, y, sign, uniform: bool):
+def _pair_stack(tensor: np.ndarray) -> np.ndarray:
+    """T with the axes of each ``_pair_layout`` pair first, as complex (pairs, 9, -1)."""
+    first, second, others = _pair_layout(tensor.ndim)
+    return np.stack([tensor.transpose((a, b, *o)).reshape(9, -1)
+                     for a, b, o in zip(first, second, others)], dtype=complex)
+
+
+def _tangent_model(tensor, x, y, sign, uniform: bool, paired=None):
     """Value, Riemannian gradient and Hessian of sign * mu per row.
 
     Tangent coordinates are, per qubit a, two along the frame Bx_a of x_a
@@ -283,13 +289,14 @@ def _tangent_model(tensor, x, y, sign, uniform: bool):
     chain rule the gradient sums over the qubits and the Hessian over every
     block.  Returns the values (rows,), gradients (rows, 4m), Hessians
     (rows, 4m, 4m) and the frames F (3, 4, m, rows), m = 1 if ``uniform``.
+    ``paired`` is ``_pair_stack(tensor)``, built here unless given.
     """
     rows, n, _ = x.shape
     first, second, others = _pair_layout(n)
     # rows last, so that each elementwise step runs over every row at once
     z = x.T + 1j * y.T  # (3, n, rows)
-    paired = np.stack([tensor.transpose((a, b, *o)).reshape(9, -1)
-                       for a, b, o in zip(first, second, others)])
+    if paired is None:
+        paired = _pair_stack(tensor)
     rest = z[:, others[:, 0]]
     for k in range(1, n - 2):
         rest = (rest[:, None] * z[:, others[:, k]]).reshape(-1, len(first), rows)
@@ -329,17 +336,17 @@ def _retract(x, y, frames, step):
     return new[0].T, new[1].T
 
 
-def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float):
+def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float, paired=None):
     """Damped Newton steps until no row gains more than ``tol``.
 
     Each step solves (delta I - H) step = grad, where delta = DAMPING *
     max|H| only keeps the solve regular along the flat orbit directions, in
     which the gradient has no component.  A row takes its step only if that
     raises its value, and retires once a step gains it ``tol`` or less: a
-    rejected step would be proposed again unchanged.  Updates x and y in
-    place; returns the values and the number of steps.
+    rejected step would be proposed again unchanged.  Updates x and y in place;
+    returns the values and the number of steps (``paired`` as in ``_tangent_model``).
     """
-    values, grad, hess, frames = _tangent_model(tensor, x, y, sign, uniform)
+    values, grad, hess, frames = _tangent_model(tensor, x, y, sign, uniform, paired)
     diag = np.arange(grad.shape[1])
     active = np.arange(values.size)
     steps = 0
@@ -353,7 +360,7 @@ def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float):
             break
         new_x, new_y = _retract(x[active], y[active], frames, step)
         new_values, grad, hess, frames = _tangent_model(
-            tensor, new_x, new_y, sign[active], uniform)
+            tensor, new_x, new_y, sign[active], uniform, paired)
         steps += 1
         gain = new_values - values[active]
         up = gain > 0
@@ -459,15 +466,17 @@ def maximize(
     x, y = z.real, z.imag  # views; the sweeps update z in place
     sign = np.repeat([1.0, -1.0], starts)
     uniform = mode == "uniform"
+    # the sweep matrices are complex once per call, not cast in every contraction
     if uniform:
         tensor = _symmetrized(tensor)
         # bounds the Hessian of mu in (x, y) over |x|, |y| <= 1, where
         # |z| <= sqrt(2): a shift this large makes every step an ascent
         shift = n * (n - 1) * 2.0 ** ((n - 2) / 2) * float(np.linalg.norm(tensor))
         z[:] = z[:, :1]
-        sweep = partial(_power_sweep, tensor.reshape(3, -1), z, sign, shift)
+        sweep = partial(_power_sweep, tensor.reshape(3, -1).astype(complex), z, sign, shift)
     else:
-        matrices = [np.moveaxis(tensor, a, -1).reshape(3, -1) for a in range(n)]
+        matrices = [np.moveaxis(tensor, a, -1).reshape(3, -1).astype(complex)
+                    for a in range(n)]
         sweep = partial(_seesaw_sweep, matrices, z, sign)
 
     values = sweep()
@@ -485,17 +494,18 @@ def maximize(
                 and _sweeps_left(gain, last, TOL_GAIN * scale) > POLISH_SWEEPS):
             break
     newton_steps = 0
+    paired = _pair_stack(tensor)
     if gain > TOL_GAIN * scale:
         # rows are independent; blocks keep the Hessians and their solves small
         for block in range(0, rows, POLISH_ROWS):
             part = slice(block, block + POLISH_ROWS)
             values[part], steps = _newton_polish(tensor, x[part], y[part], sign[part],
-                                                 uniform, TOL_GAIN * scale)
+                                                 uniform, TOL_GAIN * scale, paired)
             newton_steps = max(newton_steps, steps)
 
     best = int(np.argmax(values))
     at_best = slice(best, best + 1)
-    hess = _tangent_model(tensor, x[at_best], y[at_best], sign[at_best], uniform)[2]
+    hess = _tangent_model(tensor, x[at_best], y[at_best], sign[at_best], uniform, paired)[2]
     orbit_dim, curvature = _curvature_signal(hess[0])
     setting = MeasurementSetting(x[best], y[best])
     # report the dense-matrix value at the winning setting
@@ -587,16 +597,17 @@ def contour(state_id: str, sign: int, resolution: int) -> ContourGrid:
                        values=values)
 
 
-def contour_csv_rows(grid: ContourGrid) -> Iterator[list[str]]:
-    """The header, then each grid row's ``x3,y3,mu`` lines at 6 significant digits."""
-    yield ["x3,y3,mu"]
-    # each axis label is formatted once; one row at a time keeps the Python
-    # floats of the whole grid from being alive together
+def contour_csv_rows(grid: ContourGrid) -> Iterator[str]:
+    """The header, then each grid row's ``x3,y3,mu`` lines at 6 significant
+    digits, as text with every line ending in a newline."""
+    yield "x3,y3,mu\n"
+    # axis labels are formatted once and each row in one % call on a template of
+    # them; one row at a time keeps the floats of the whole grid from being alive
     labels = [f"{a:.6g}," for a in grid.axis.tolist()]
     for x3, row in zip(labels, grid.values):
-        yield [f"{x3}{y3}{mu:.6g}" for y3, mu in zip(labels, row.tolist())]
+        yield (x3 + f"%.6g\n{x3}".join(labels) + "%.6g\n") % tuple(row.tolist())
 
 
 def contour_csv_lines(grid: ContourGrid) -> list[str]:
     """Every line of ``contour_csv_rows``, header first."""
-    return list(chain.from_iterable(contour_csv_rows(grid)))
+    return "".join(contour_csv_rows(grid))[:-1].split("\n")

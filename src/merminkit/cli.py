@@ -10,17 +10,22 @@ import argparse
 import cmath
 import json
 import sys
-from importlib import metadata
 
 from . import bounds, eigenops, instructional, states
 from .pauli import _parse_coeff, parse_sum, render_sum
 
 
-def _version() -> str:
-    try:
-        return metadata.version("merminkit")
-    except metadata.PackageNotFoundError:
-        return "0.1.0"
+class _VersionAction(argparse.Action):
+    """``--version``, with the version looked up only when the flag is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from importlib import metadata  # only --version pays for this import
+        try:
+            version = metadata.version("merminkit")
+        except metadata.PackageNotFoundError:
+            version = "0.1.0"
+        print(f"merminkit {version}")
+        parser.exit()
 
 
 def _quantize(obj):
@@ -171,8 +176,7 @@ def _cmd_contour(args) -> int:
     sign = 1 if args.sign == "+" else -1
     grid = bounds.contour(args.state, sign, args.res)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines("\n".join(lines) + "\n"
-                      for lines in bounds.contour_csv_rows(grid))
+        fh.writelines(bounds.contour_csv_rows(grid))
     emit(
         {
             "state": args.state,
@@ -187,8 +191,8 @@ def _cmd_contour(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="merminkit", description=__doc__)
-    parser.add_argument("--version", action="version",
-                        version=f"merminkit {_version()}")
+    parser.add_argument("--version", action=_VersionAction, nargs=0,
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 

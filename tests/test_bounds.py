@@ -280,6 +280,20 @@ class TestContour:
         assert lines[1:4] == ["-1,-1,-0", "-1,0,1e-07", "-1,1,123457"]
 
 
+def test_csv_formats_non_finite_and_extreme_values():
+    # NaN, infinities, a negative zero, the smallest subnormal and values near
+    # the float limits format as they do cell by cell
+    values = np.array([[np.nan, np.inf, -np.inf],
+                       [-0.0, 5e-324, 1e300],
+                       [-1e300, -5e-324, 0.0]])
+    grid = bd.ContourGrid(state_id="v42", sign=-1, resolution=3, values=values)
+    lines = bd.contour_csv_lines(grid)
+    assert lines == TestContour.per_cell_csv(grid)
+    assert lines[1:] == ["-1,-1,nan", "-1,0,inf", "-1,1,-inf",
+                         "0,-1,-0", "0,0,4.94066e-324", "0,1,1e+300",
+                         "1,-1,-1e+300", "1,0,-4.94066e-324", "1,1,0"]
+
+
 class TestMaximize:
     def test_w_state_uniform(self):
         result = bd.maximize(bd.bound_state("v31"), mode="uniform",

@@ -348,3 +348,19 @@ def test_eigenops_output_does_not_depend_on_scale(capsys, scale):
     reference = json.loads(capsys.readouterr().out)
     assert cli.main(["eigenops", "--state", "v41~", "--coeffs", ",".join([scale] * 4)]) == 0
     assert json.loads(capsys.readouterr().out) == reference
+
+
+def test_version_is_looked_up_only_for_the_flag(monkeypatch, capsys):
+    from importlib import metadata
+
+    def refuse(name):
+        raise AssertionError(f"metadata.version({name!r}) called")
+
+    monkeypatch.setattr(metadata, "version", refuse)
+    cli.build_parser()
+    assert cli.main(["state", "--id", "u3"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    # the flag itself does look the version up
+    monkeypatch.setattr(metadata, "version", lambda name: "9.8.7")
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr().out == "merminkit 9.8.7\n"

@@ -94,3 +94,24 @@ def test_stdout_is_byte_identical(capsys, argv):
     assert cli.main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]
+
+
+# the file that ``contour --out`` writes; its stdout names the path, so only
+# the file is pinned here
+CSV_SHA256 = {
+    ("v31", "+"): "5b2304b6129ae4fb65240d3c99910e4384075eb33b6230b0e05800e670ca666f",
+    ("v31", "-"): "d703e81ef6d026ccc35dc53c93f6d060515952469611ded4e9e482ddf7945eee",
+    ("v41", "+"): "a4fca9044526222210f6204f4143ac797ff203fd02a064751738ce2bb3c7f5a6",
+    ("v41", "-"): "41bab19da25f354a4baa84c943a85bf6c489b353eee8bd6d10c80f8072bb48a5",
+    ("v42", "+"): "f84d38586543b056413ef482a969e1dd53771d62b6ceb105b09eff312a64a005",
+    ("v42", "-"): "4fa03ba5481eb96c4db2da7a17788081c58c33b5b917fdd9c884161138e10e8c",
+}
+
+
+@pytest.mark.parametrize("state,sign", sorted(CSV_SHA256))
+def test_contour_csv_is_byte_identical(tmp_path, capsys, state, sign):
+    out = tmp_path / "grid.csv"
+    argv = ["contour", "--state", state, "--sign", sign, "--res", "201", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[state, sign]

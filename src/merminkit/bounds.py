@@ -123,7 +123,7 @@ def mermin_operator(n: int, setting: MeasurementSetting) -> np.ndarray:
     # factors[a, p] is qubit a's X (p = 0) or Y (p = 1), made as ``observable`` makes it
     factors = np.stack((setting.x, setting.y), 1) @ _PAULI.reshape(3, 4)
     factors = factors.reshape(n, 2, 2, 2)
-    signs, patterns = zip(*mermin_terms(n))
+    signs, last_letters = _mermin_layout(n)
     # every word of the first n - 1 qubits, each entry a left-to-right product
     # as in a chain of Kronecker products, the words in the order of product()
     words = factors[0]
@@ -131,10 +131,19 @@ def mermin_operator(n: int, setting: MeasurementSetting) -> np.ndarray:
         words = (words[:, None, :, None, :, None]
                  * factors[a][None, :, None, :, None, :]).reshape((2 << a,) * 3)
     # even words only: the last letter is the parity of the ones before it
-    last = factors[n - 1][[pattern[-1] for pattern in patterns]]
+    last = factors[n - 1][last_letters]
     words = words[:, :, None, :, None] * last[:, None, :, None, :]
-    signed = np.reshape(signs, (-1, 1, 1)) * words.reshape(len(signs), 1 << n, -1)
+    signed = signs * words.reshape(len(signs), 1 << n, -1)
     return np.add.reduce(signed, axis=0)
+
+
+@cache
+def _mermin_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signs, shaped (-1, 1, 1), and last letters of ``mermin_terms(n)``, read-only."""
+    signs, patterns = zip(*mermin_terms(n))
+    signs, last = np.reshape(signs, (-1, 1, 1)), np.array([p[-1] for p in patterns])
+    signs.flags.writeable = last.flags.writeable = False
+    return signs, last
 
 
 def expectation(v: StateVector, setting: MeasurementSetting) -> float:
@@ -178,8 +187,16 @@ def _pauli_expectation_tensor(v: StateVector) -> np.ndarray:
     psi = u.amps.reshape((2,) * n)
     paulis = ",".join(_LETTERS[a] + _BRA[a] + _KET[a] for a in range(n))
     subs = f"{_BRA[:n]},{paulis},{_KET[:n]}->{_LETTERS[:n]}"
-    tensor = np.einsum(subs, psi.conj(), *([_PAULI] * n), psi, optimize=True)
+    tensor = np.einsum(subs, psi.conj(), *([_PAULI] * n), psi,
+                       optimize=_tensor_path(subs, n))
     return tensor.real / u.norm_sq
+
+
+@cache
+def _tensor_path(subs: str, n: int) -> list:
+    """The einsum path ``optimize=True`` plans for the tensor; shapes alone decide it."""
+    psi = np.zeros((2,) * n, dtype=complex)
+    return np.einsum_path(subs, psi, *([_PAULI] * n), psi, optimize=True)[0]
 
 
 def _contract_except(matrix: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:
@@ -200,12 +217,13 @@ def _random_units(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _set_along(z: np.ndarray, a: int, w: np.ndarray) -> np.ndarray:
     """Set z[:, a] to the unit rows along Re w and -Im w; a zero one keeps its row."""
-    parts = np.conj(w).view(float).reshape(-1, 3, 2)
+    parts = np.conj(w).view(float).reshape(-1, 3, 2).transpose(1, 2, 0).copy()  # rows last
     squares = parts * parts  # summed as np.linalg.norm sums them, bit for bit
-    norm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])[:, None]
-    np.divide(parts, norm, out=z.view(float).reshape(*z.shape, 2)[:, a],
-              where=True if (norm > 0).all() else norm > 0)  # a mask is slow
-    return norm[:, 0]
+    norm = np.sqrt(squares[0] + squares[1] + squares[2])
+    ok = True if norm.min() > 0 else norm > 0  # false at a zero or NaN part; a mask is slow
+    np.divide(parts, norm, out=parts, where=ok)
+    np.copyto(z.view(float).reshape(*z.shape, 2)[:, a].transpose(1, 2, 0), parts, where=ok)
+    return norm.T
 
 
 def _symmetrized(tensor: np.ndarray) -> np.ndarray:
@@ -351,9 +369,9 @@ def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float, paired=None):
     active = np.arange(values.size)
     steps = 0
     while active.size and steps < NEWTON_CAP:
-        delta = DAMPING * np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2)))
+        largest = np.maximum(hess.max(axis=(1, 2)), -hess.min(axis=(1, 2)))  # max|H|
         system = -hess
-        system[:, diag, diag] += delta[:, None]
+        system[:, diag, diag] += DAMPING * np.maximum(1.0, largest)[:, None]
         try:
             step = np.linalg.solve(system, grad[..., None])
         except np.linalg.LinAlgError:  # an exactly singular row: keep the settings
@@ -485,8 +503,8 @@ def maximize(
     while sweeps < SWEEP_CAP:
         previous, values = values, sweep()
         sweeps += 1
-        scale = max(1.0, np.max(np.abs(values)))
-        last, gain = gain, np.max(values - previous)
+        scale = max(1.0, np.abs(values).max())
+        last, gain = gain, (values - previous).max()
         if gain <= TOL_GAIN * scale:
             break
         # hand over once converging, unless the sweeps left cost less than a polish

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 
 from . import bounds, eigenops, instructional, states
@@ -42,6 +43,7 @@ def _quantize(obj):
 def emit(payload: dict) -> None:
     json.dump(_quantize(payload), sys.stdout, indent=2)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # so that a closed stdout raises here, not at shutdown
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,6 +248,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left: end quietly, and flush to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"merminkit: error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """CLI smoke tests: JSON output, exit codes, golden-ish round trips."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -364,3 +365,21 @@ def test_version_is_looked_up_only_for_the_flag(monkeypatch, capsys):
     monkeypatch.setattr(metadata, "version", lambda name: "9.8.7")
     assert cli.main(["--version"]) == 0
     assert capsys.readouterr().out == "merminkit 9.8.7\n"
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["contour", "--state", "v42", "--sign", "+", "--res", "2001", "--out", "/dev/stdout"], 10),
+    (["state", "--id", "u3"], 0),
+], ids=["contour-to-stdout", "state-json"])
+def test_closed_stdout_ends_quietly(argv, read):
+    # stdout block-buffered, as it is for a pipe unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "merminkit", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.read(read)
+    proc.stdout.close()  # before the JSON is written, so that its flush meets a closed pipe
+    try:
+        stderr = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+    assert (proc.returncode, stderr) == (0, b"")

@@ -115,52 +115,42 @@ class EigenBasis:
         return len(self.operators)
 
 
-def _rref(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form with partial pivoting; returns (rows, pivots)."""
-    m = matrix.astype(float)
-    rows, cols = m.shape
+def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Exact reduced row-echelon form of linearly independent integer rows.
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): each step
+    divides by the previous pivot exactly, so every entry stays an integer and
+    every pivot ends equal to the last one, here made positive.  Returns
+    (rows, pivots).
+    """
+    m = [list(row) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        p = r + int(np.argmax(np.abs(m[r:, c])))
-        if abs(m[p, c]) <= tol:
-            continue
-        m[[r, p]] = m[[p, r]]
-        m[r] = m[r] / m[r, c]
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[r]
+    prev, c = 1, 0
+    for r in range(len(m)):
+        while not any(row[c] for row in m[r:]):
+            c += 1
+        p = next(i for i in range(r, len(m)) if m[i][c])
+        m[r], m[p] = m[p], m[r]
+        top, piv = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r:
+                m[i] = [(piv * a - row[c] * b) // prev for a, b in zip(row, top)]
         pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
-def _null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Kernel basis (rows), canonicalized as the RREF of the kernel space."""
-    rref, pivots = _rref(matrix, tol)
-    cols = matrix.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols))
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for row, pc in enumerate(pivots):
-            basis[k, pc] = -rref[row, fc]
-    if len(basis):
-        basis, _ = _rref(basis, tol)
-    return basis
+        prev, c = piv, c + 1
+    if prev < 0:
+        m = [[-a for a in row] for row in m]
+    return m, pivots
 
 
 @functools.cache
 def _word_signs(n: int) -> np.ndarray:
-    """Read-only chi[k, w] = +-1 with w e_k = chi[k, w] e_~k, from ``PauliSum.apply``.
+    """Read-only int chi[k, w] = +-1 with w e_k = chi[k, w] e_~k, from ``PauliSum.apply``.
 
     Rows are basis indices k, columns the ``candidate_words(n)``.
     """
     ones = StateVector(n, np.ones(1 << n))
     chi = np.column_stack([sigma(*w).apply(ones).amps[::-1].real
-                           for w in candidate_words(n)])
+                           for w in candidate_words(n)]).astype(int)
     chi.setflags(write=False)
     return chi
 
@@ -171,25 +161,31 @@ def eigen_basis(v: StateVector) -> EigenBasis:
     With v[~k] = v[k] and w e_k = chi[k, w] e_~k (``_word_signs``), C = sum
     c_w w fixes v with eigenvalue gamma exactly when sum_w c_w chi[k, w] =
     gamma at every k in the support of v, so a row depends on the support
-    alone.  The basis is the RREF of that kernel over the candidate word
-    order, so it is deterministic.  The support is read on ``unit_scaled(v)``:
-    its factor is exact, so ``TOL_RANK`` decides it the same way at every
-    scale.
+    alone.  One row per conjugate pair {k, ~k} leaves a Hadamard matrix H
+    (H H^T = 2^(n-1) I), so the solutions are c = H^T y with y = gamma on the
+    support and free off it: the span of the summed support rows (gamma = 1)
+    and the rows off the support (gamma = 0).  The basis is the exact RREF of
+    those integer rows over the candidate word order, so it is deterministic.
+    The support is read on ``unit_scaled(v)``: its factor is exact, so
+    ``TOL_RANK`` decides it the same way at every scale.
     """
     u = unit_scaled(v)
     if not is_exchange_symmetric(u, tol=TOL_ALG * float(np.max(np.abs(u.amps)))):
         raise ValueError("state is not symmetric under the e1<->e2 exchange")
     n = v.n
     words = candidate_words(n)
-    chi = _word_signs(n)[np.abs(u.amps) > TOL_RANK]
-    kernel = _null_space(chi[1:] - chi[0], TOL_RANK)
+    half = 1 << (n - 1)
+    signs = _word_signs(n)[:half]
+    big = np.abs(u.amps) > TOL_RANK
+    on = big[:half] | big[::-1][:half]
+    rows, pivots = _rref([(on @ signs).tolist()] + signs[~on].tolist())
+    first = signs[on][0].tolist()
     operators: list[PauliSum] = []
     eigenvalues: list[float] = []
-    for coeff_vec in kernel:
-        picked = [PauliWord(w, c) for w, c in zip(words, coeff_vec)
-                  if abs(c) > TOL_ALG]
-        operators.append(PauliSum.from_words(picked))  # an RREF row has its pivot 1
-        eigenvalues.append(float(chi[0] @ coeff_vec))
+    for row, p in zip(rows, pivots):
+        operators.append(PauliSum.from_words(
+            PauliWord(w, c / row[p]) for w, c in zip(words, row) if c))
+        eigenvalues.append(sum(s * c for s, c in zip(first, row)) / row[p])
     return EigenBasis(state=v, operators=operators, eigenvalues=eigenvalues)
 
 

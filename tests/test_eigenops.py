@@ -1,8 +1,12 @@
 """Tests for eigenoperator discovery, the catalog rows, and the identities."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from merminkit import cli
 from merminkit import eigenops as eo
 from merminkit.pauli import PauliSum, render_sum, sigma
 from merminkit.states import StateVector, dicke, sym_coeff_count
@@ -181,6 +185,132 @@ def test_eigen_basis_depends_on_the_support_alone():
         basis, reference = eo.eigen_basis(v), eo.eigen_basis(support)
         assert basis.operators == reference.operators, trial
         assert basis.eigenvalues == reference.eigenvalues, trial
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan over Fractions; returns the nonzero rows and their pivots."""
+    m = [[Fraction(a) for a in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _exact_kernel(matrix, cols):
+    """RREF of the kernel of an integer matrix, in exact rationals."""
+    rref, pivots = _fraction_rref(matrix)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        row = [Fraction(0)] * cols
+        row[fc] = Fraction(1)
+        for r, pc in zip(rref, pivots):
+            row[pc] = -r[fc]
+        basis.append(row)
+    return _fraction_rref(basis)[0]
+
+
+def test_integer_rref_matches_the_fraction_rref():
+    # full-row-rank integer rows, some with zero columns to skip
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    while checked < 200:
+        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        m = rng.integers(-3, 4, size=(rows, cols))
+        m[:, rng.random(cols) < 0.2] = 0
+        if np.linalg.matrix_rank(m) < rows:
+            continue
+        reduced, pivots = eo._rref(m.tolist())
+        expected, expected_pivots = _fraction_rref(m.tolist())
+        assert pivots == expected_pivots
+        assert all(row[p] > 0 for row, p in zip(reduced, pivots))
+        assert [[Fraction(a, row[p]) for a in row]
+                for row, p in zip(reduced, pivots)] == expected
+        checked += 1
+
+
+def _pair_supports():
+    """Every exchange-symmetric 0/1 state at n = 3, 4: one per nonempty pair set."""
+    for n in (3, 4):
+        half = 1 << (n - 1)
+        for mask in range(1, 1 << half):
+            amps = np.zeros(1 << n)
+            for k in range(half):
+                if mask >> k & 1:
+                    amps[k] = amps[(1 << n) - 1 - k] = 1
+            yield StateVector(n, amps), bin(mask).count("1")
+
+
+_SUPPORTS = list(_pair_supports())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pair_sign_rows_form_a_hadamard_matrix(n):
+    # rows k and ~k of the sign table agree, and the first half is H with
+    # H H^T = 2^(n-1) I, so the rows that eigen_basis reduces are independent
+    chi = eo._word_signs(n)
+    half = 1 << (n - 1)
+    assert np.array_equal(chi[:half], chi[::-1][:half])
+    h = chi[:half]
+    assert np.array_equal(h @ h.T, half * np.eye(half, dtype=int))
+
+
+def test_eigen_basis_equals_the_exact_kernel_on_every_support():
+    assert [sum(1 for v, _ in _SUPPORTS if v.n == n) for n in (3, 4)] == [15, 255]
+    for v, size in _SUPPORTS:
+        basis = eo.eigen_basis(v)
+        words = eo.candidate_words(v.n)
+        assert len(basis) == (1 << (v.n - 1)) - size + 1
+        chi = eo._word_signs(v.n)[v.amps != 0]
+        kernel = _exact_kernel((chi[1:] - chi[0]).tolist(), len(words))
+        assert [op.coefficient_vector(words).tolist() for op in basis.operators] == [
+            [complex(float(a)) for a in row] for row in kernel]
+        assert basis.eigenvalues == [
+            float(sum(s * a for s, a in zip(chi[0].tolist(), row))) for row in kernel]
+
+
+def test_zero_eigenvalues_are_positive_zero():
+    zeros = [g for v, _ in _SUPPORTS for g in eo.eigen_basis(v).eigenvalues if g == 0]
+    assert zeros
+    assert all(math.copysign(1.0, g) == 1.0 for g in zeros)
+
+
+@pytest.mark.parametrize("state_id,nm", [("v31~", (3, 1)), ("v41~", (4, 1)),
+                                        ("v42~", (4, 2))])
+def test_eigenops_cli_never_prints_negative_zero(capsys, state_id, nm):
+    # tiny pair weights fall below TOL_RANK and shrink the support
+    rng = np.random.default_rng(20261018)
+    count = sym_coeff_count(*nm)
+    for _ in range(12):
+        coeffs = [float(rng.choice([1e-12, 0.5, -1.5, 2.0])) for _ in range(count)]
+        argv = ["eigenops", "--state", state_id,
+                "--coeffs=" + ",".join(map(repr, coeffs))]
+        assert cli.main(argv) == 0
+        assert "-0.0" not in capsys.readouterr().out, argv
+
+
+@pytest.mark.parametrize("small", [(1e-9 + 3e-13, 1e-9 - 3e-13),
+                                   (1e-9 - 3e-13, 1e-9 + 3e-13)])
+def test_a_pair_counts_when_either_amplitude_clears_the_rank_threshold(small):
+    # the two amplitudes pass the exchange check at TOL_ALG * max, but only
+    # one of them is above TOL_RANK, in either half of the basis
+    amps = np.zeros(16)
+    amps[0] = amps[15] = 0.75
+    amps[1], amps[14] = small
+    reference = np.zeros(16)
+    reference[[0, 15, 1, 14]] = 0.75
+    basis, expected = eo.eigen_basis(StateVector(4, amps)), eo.eigen_basis(
+        StateVector(4, reference))
+    assert basis.operators == expected.operators
+    assert basis.eigenvalues == expected.eigenvalues
 
 
 # rank decisions must not move when the state is rescaled or rephased

@@ -192,6 +192,8 @@ def eigen_basis(v: StateVector) -> EigenBasis:
 def in_span(op: PauliSum, basis: EigenBasis, tol: float = 1e-9) -> bool:
     """Whether an operator lies in the coefficient span of a discovered basis."""
     words = candidate_words(basis.state.n)
+    if not {letters for letters, _ in op.terms()} <= set(words):
+        return False  # identity, s3 or odd-s2 terms lie outside every candidate span
     target = op.coefficient_vector(words)
     if not len(basis.operators):
         return bool(np.all(np.abs(target) <= tol))

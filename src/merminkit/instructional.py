@@ -11,7 +11,7 @@ verdicts are unconditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,11 +70,13 @@ class Equation:
     expr: PauliSum
     target: int
     poly: str | None = None
+    monomials: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.poly not in _POLY_CHECKS:
             raise ValueError(f"unknown polynomial {self.poly!r}")
-        _monomials_of(self.expr)  # validates letters and coefficients
+        # the (coeff, mask) form that solve and parity_certificate read
+        object.__setattr__(self, "monomials", tuple(_monomial_masks(self.expr)))
 
 
 @dataclass
@@ -139,9 +141,9 @@ def _monomials_of(expr: PauliSum) -> list[tuple[int, tuple[int, ...]]]:
                 "expression contains identity or s3 letters; "
                 "only s1/s2 words have an instructional value"
             )
-        if abs(coeff.imag) > 1e-9 or abs(coeff.real - round(coeff.real)) > 1e-9:
+        if coeff.imag != 0 or coeff.real != round(coeff.real):
             raise ValueError(f"coefficient {coeff} is not an integer")
-        monomials.append((int(round(coeff.real)), letters))
+        monomials.append((int(coeff.real), letters))
     return monomials
 
 
@@ -159,10 +161,10 @@ def _sign(v):
     return 1 - 2 * (v & 1)
 
 
-def _values(expr: PauliSum, indices: np.ndarray) -> np.ndarray:
-    """Value of an s1/s2 word sum at each assignment index."""
+def _values(monomials, indices: np.ndarray) -> np.ndarray:
+    """Value of (coeff, mask) monomials at each assignment index."""
     total = np.zeros(len(indices), dtype=np.int64)
-    for coeff, mask in _monomial_masks(expr):
+    for coeff, mask in monomials:
         total += coeff * _sign(indices & mask)
     return total
 
@@ -171,7 +173,8 @@ def evaluate(expr: PauliSum, assignment: Assignment) -> int:
     """Value of an s1/s2 word sum under an instructional set."""
     if expr.n != assignment.n:
         raise ValueError(f"qubit counts differ: {expr.n} != {assignment.n}")
-    return int(_values(expr, np.array([assignment.to_index()], dtype=np.int64))[0])
+    index = np.array([assignment.to_index()], dtype=np.int64)
+    return int(_values(_monomial_masks(expr), index)[0])
 
 
 def solve(system: InstructionalSystem) -> SolveReport:
@@ -184,7 +187,7 @@ def solve(system: InstructionalSystem) -> SolveReport:
     for start in range(0, total, _CHUNK):
         indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         for eq in system.equations:
-            values = _values(eq.expr, indices)
+            values = _values(eq.monomials, indices)
             indices = indices[_POLY_CHECKS[eq.poly](values, eq.target)]
             if not len(indices):
                 break
@@ -201,7 +204,7 @@ def parity_certificate(system: InstructionalSystem) -> list[int] | None:
     """
     rows = []
     for eq in system.equations:
-        monomials = _monomial_masks(eq.expr)
+        monomials = eq.monomials
         if (eq.poly is not None or eq.target not in (-1, 1)
                 or len(monomials) != 1 or monomials[0][0] not in (-1, 1)):
             return None

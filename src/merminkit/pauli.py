@@ -133,10 +133,6 @@ class PauliSum:
 
     # -- views -------------------------------------------------------------
 
-    def words(self) -> list[PauliWord]:
-        """Terms as words, sorted by letter pattern."""
-        return [PauliWord(letters, coeff) for letters, coeff in self.terms()]
-
     def terms(self) -> Iterator[tuple[tuple[int, ...], complex]]:
         """(letters, coeff) pairs, sorted by letter pattern."""
         return iter(sorted((_key_letters(key, self.n), coeff)
@@ -345,6 +341,8 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
         if "*" in chunk:
             coeff_text, word_text = chunk.rsplit("*", 1)
             coeff = _parse_coeff(coeff_text)
+            if 0 < abs(coeff) <= TOL_ALG:  # PauliSum would prune it silently
+                raise ValueError(f"coefficient {coeff_text!r} is at most {TOL_ALG:g}")
         else:
             coeff, word_text = 1.0 + 0j, chunk
         m = _WORD_RE.match(word_text)

@@ -383,3 +383,25 @@ def test_closed_stdout_ends_quietly(argv, read):
     finally:
         proc.kill()
     assert (proc.returncode, stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("0.9999999999*s(1,1,1)", "coefficient (0.9999999999+0j) is not an integer"),
+    ("(1+1e-17i)*s(1,1,1)", "coefficient (1+1e-17j) is not an integer"),
+    ("1e-13*s(1,1,1)", "coefficient '1e-13' is at most 1e-12"),
+])
+def test_inexact_coefficient_in_system_file_is_one_line_error(tmp_path, capsys, expr,
+                                                              message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"expr": expr, "target": 0}]))
+    assert cli.main(["instr", "--system-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"merminkit: error: {message}"]
+
+
+def test_integer_valued_float_coefficient_in_system_file_is_accepted(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"expr": "-3.0*s(1,1,1)", "target": -3}]))
+    assert cli.main(["instr", "--system-file", str(path), "--max-solutions", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 32

@@ -408,3 +408,10 @@ def test_eigen_basis_at_scales_where_the_squared_norm_fails(scale):
     basis = eo.eigen_basis(eo.catalog_state("v41~", [scale] * 4))
     assert basis.operators == reference.operators
     assert basis.eigenvalues == reference.eigenvalues
+
+
+@pytest.mark.parametrize("extra", [sigma(3, 3, 3), sigma(0, 0, 0), sigma(1, 1, 2)])
+def test_in_span_refuses_terms_outside_the_candidate_words(extra):
+    basis = eo.eigen_basis(eo.catalog_state("u3"))
+    assert eo.in_span(sigma(1, 1, 1), basis)
+    assert not eo.in_span(sigma(1, 1, 1) + extra, basis)

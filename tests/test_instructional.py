@@ -1,5 +1,6 @@
 """Tests for instructional-set evaluation, exhaustive solving, certificates."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -430,3 +431,71 @@ class TestCoefficientSumLimit:
         expected = oracle_solutions(system)
         assert len(expected) == 16
         assert ins.solve(system).solutions == expected
+
+
+# -- one compiled (coeff, mask) form per equation --------------------------------
+
+_NO_SOLUTIONS = hashlib.sha256(b"").hexdigest()
+
+# (explainable, count, certificate, sha256 of the comma-joined solution indices)
+DEVICE_VERDICTS = {
+    "u3": (False, 0, [0, 1, 2, 3], _NO_SOLUTIONS),
+    "u3-last3": (True, 8, None,
+                 "56f2bf55430303fda0ba4b659354828d974d5551d15d37f9d10b5983cbcdb726"),
+    "v31~": (False, 0, None, _NO_SOLUTIONS),
+    "v31~-relaxed": (False, 0, None, _NO_SOLUTIONS),
+    "v41~": (True, 64, None,
+             "f07e5fb57ad62b7e3cbebcf0a471a6553e93775877279b963003db2fa35510c8"),
+    **{f"u4-{k}": (False, 0, [0, 1, 2, 3], _NO_SOLUTIONS) for k in range(1, 9)},
+    **{f"v42~-{i}-{j}": (False, 0, None, _NO_SOLUTIONS)
+       for i in (1, 2, 3, 4) for j in (1, 2)},
+}
+
+
+def test_device_verdicts_read_only_the_compiled_monomials(monkeypatch):
+    # the devices are built at import; solving them must not derive any
+    # equation's monomials again
+    assert set(ins.devices()) == set(DEVICE_VERDICTS)
+
+    def derived_again(expr):
+        raise AssertionError("monomials derived outside Equation")
+
+    monkeypatch.setattr(ins, "_monomial_masks", derived_again)
+    monkeypatch.setattr(ins, "_monomials_of", derived_again)
+    for device, (explainable, count, certificate, digest) in DEVICE_VERDICTS.items():
+        verdict = ins.device_verdict(device)
+        indices = ",".join(map(str, verdict.report.indices.tolist()))
+        assert verdict.explainable is explainable, device
+        assert verdict.report.count == count, device
+        assert verdict.certificate == certificate, device
+        assert hashlib.sha256(indices.encode()).hexdigest() == digest, device
+
+
+@pytest.mark.parametrize("device", ins.devices())
+def test_compiled_monomials_match_their_derivation(device):
+    for eq in ins.device_system(device).equations:
+        assert eq.monomials == tuple(ins._monomial_masks(eq.expr)), device
+
+
+def test_equal_equations_compare_and_hash_equal():
+    a, b = ins.Equation(eo.tau3(), 1, "f3"), ins.Equation(eo.tau3(), 1, "f3")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == ("Equation(expr=PauliSum('s(1,2,2) + s(2,1,2) + s(2,2,1)'), "
+                       "target=1, poly='f3')")
+    assert a != ins.Equation(eo.tau3(), 1)
+
+
+class TestExactIntegerCoefficients:
+    @pytest.mark.parametrize("text", ["0.9999999999*s(1,1,1)", "(1+1e-17i)*s(1,1,1)"])
+    def test_near_integers_are_refused(self, text):
+        expr = parse_sum(text)
+        with pytest.raises(ValueError, match="is not an integer"):
+            ins.Equation(expr, 1)
+        with pytest.raises(ValueError, match="is not an integer"):
+            ins.evaluate(expr, ins.Assignment.from_index(0, 3))
+
+    def test_integer_valued_float_is_accepted(self):
+        eq = ins.Equation(parse_sum("-3.0*s(1,1,1)"), -3)
+        assert eq.monomials == ((-3, 0b111),)
+        assert ins.evaluate(eq.expr, ins.Assignment.from_index(0, 3)) == -3
+        assert ins.solve(ins.InstructionalSystem(3, [eq])).count == 32

@@ -316,3 +316,16 @@ class TestTextForm:
             parse_sum("s(1,1) + s(1,1,1)")
         with pytest.raises(ValueError):
             parse_sum("s(1,1)", n=3)
+
+
+@pytest.mark.parametrize("text",
+                         ["1e-13*s(1,1,1)", "-1e-12*s(1,2)", "s(1,1) + 1e-13i*s(2,2)"])
+def test_parse_refuses_coefficients_that_would_be_pruned(text):
+    with pytest.raises(ValueError, match="is at most 1e-12"):
+        parse_sum(text)
+
+
+def test_parse_keeps_exact_cancellation_and_small_kept_coefficients():
+    assert parse_sum("s(1,1) - s(1,1)").is_zero()
+    ((_, coeff),) = parse_sum("2e-12*s(1,1)").terms()
+    assert coeff == 2e-12

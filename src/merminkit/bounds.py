@@ -232,6 +232,21 @@ def _symmetrized(tensor: np.ndarray) -> np.ndarray:
     return sum(tensor.transpose(p) for p in perms) / len(perms)
 
 
+def _ascent_shift(tensor: np.ndarray) -> float:
+    """A shift that makes every ``_power_sweep`` on the symmetric tensor an ascent.
+
+    It bounds the Hessian of mu in (x, y) over |x|, |y| <= 1, where
+    |z|^2 <= 2: with M the 9 x 3^(n-2) unfolding of T, |D^2 mu (d, d)| =
+    n(n-1) |Re (dz (x) dz)^T M z^(x)(n-2)| <= n(n-1) sigma_max(M)
+    2^((n-2)/2) |d|^2.  sigma_max is the root of the largest eigenvalue of
+    the 9 x 9 Gram matrix M M^T.
+    """
+    n = tensor.ndim
+    unfolded = tensor.reshape(9, -1)
+    largest = np.linalg.eigvalsh(unfolded @ unfolded.T)[-1]
+    return n * (n - 1) * 2.0 ** ((n - 2) / 2) * math.sqrt(max(largest, 0.0))
+
+
 def _seesaw_sweep(matrices, z, sign):
     """One pass of exact per-qubit updates of z; returns sign * mu per row.
 
@@ -305,40 +320,55 @@ def _tangent_model(tensor, x, y, sign, uniform: bool, paired=None):
     diagonal, the Euclidean-to-Riemannian correction.  With ``uniform`` the
     qubits share one (x, y) whose 4 coordinates move them all, so by the
     chain rule the gradient sums over the qubits and the Hessian over every
-    block.  Returns the values (rows,), gradients (rows, 4m), Hessians
-    (rows, 4m, 4m) and the frames F (3, 4, m, rows), m = 1 if ``uniform``.
-    ``paired`` is ``_pair_stack(tensor)``, built here unless given.
+    block; the tensor is symmetric there, so every C_ab is the one C of the
+    first pair and the sums are n Re(F^T c) and n(n-1) Re(F^T C F) - n
+    diag(radial).  Returns the values (rows,), gradients (rows, 4m),
+    Hessians (rows, 4m, 4m) and the frames F (3, 4, m, rows), m = 1 if
+    ``uniform``.  ``paired`` is ``_pair_stack(tensor)``, built here unless given.
     """
     rows, n, _ = x.shape
-    first, second, others = _pair_layout(n)
-    # rows last, so that each elementwise step runs over every row at once
-    z = x.T + 1j * y.T  # (3, n, rows)
     if paired is None:
         paired = _pair_stack(tensor)
-    rest = z[:, others[:, 0]]
-    for k in range(1, n - 2):
-        rest = (rest[:, None] * z[:, others[:, k]]).reshape(-1, len(first), rows)
-    blocks = sign * (paired @ rest.transpose(1, 0, 2)).reshape(-1, 3, 3, rows)  # C_ab
-    # c_0 = C_01 z_1 and c_a = C_0a^T z_0
-    c = np.concatenate((np.sum(blocks[:1] * z[None, None, :, 1], axis=2),
-                        np.sum(blocks[:n - 1] * z[None, :, None, 0], axis=1)))
-    c = c.transpose(1, 0, 2)  # (3, n, rows)
+    # rows last, so that each elementwise step runs over every row at once
+    z = x.T + 1j * y.T  # (3, n, rows)
+    if uniform:
+        # the qubits share one setting, every C_ab is the C of pair (0, 1)
+        # and every c_a is C z
+        x, y, z = x[:, :1], y[:, :1], z[:, :1]
+        rest = z[:, 0]
+        for _ in range(n - 3):
+            rest = (rest[:, None] * z[:, 0]).reshape(-1, rows)
+        blocks = sign * (paired[0] @ rest).reshape(1, 3, 3, rows)
+        c = np.sum(blocks * z[None, None, :, 0], axis=2).transpose(1, 0, 2)  # (3, 1, rows)
+        first = second = slice(None)
+    else:
+        first, second, others = _pair_layout(n)
+        rest = z[:, others[:, 0]]
+        for k in range(1, n - 2):
+            rest = (rest[:, None] * z[:, others[:, k]]).reshape(-1, len(first), rows)
+        blocks = sign * (paired @ rest.transpose(1, 0, 2)).reshape(-1, 3, 3, rows)  # C_ab
+        # c_0 = C_01 z_1 and c_a = C_0a^T z_0
+        c = np.concatenate((np.sum(blocks[:1] * z[None, None, :, 1], axis=2),
+                            np.sum(blocks[:n - 1] * z[None, :, None, 0], axis=1)))
+        c = c.transpose(1, 0, 2)  # (3, n, rows)
     frames = np.concatenate((_tangent_frames(x.T), 1j * _tangent_frames(y.T)), axis=1)
-    grad = np.sum(frames * c[:, None], axis=0).real  # (4, n, rows)
+    grad = np.sum(frames * c[:, None], axis=0).real  # (4, m, rows)
     radial = np.stack((np.sum(x.T * c.real, axis=0), -np.sum(y.T * c.imag, axis=0)))
     # Re(F_a^T C_ab F_b) for every pair; einsum keeps no product temporaries
     half = np.einsum("jpqr,jkqr->pkqr", frames[:, :, first], blocks.transpose(1, 2, 0, 3))
     pair_hess = np.einsum("pkqr,ksqr->psqr", half, frames[:, :, second]).real
-    hess = np.zeros((n, 4, n, 4, rows))
-    hess[first, :, second] = pair_hess.transpose(2, 0, 1, 3)
-    hess[second, :, first] = pair_hess.transpose(2, 1, 0, 3)
-    qubit, coord = np.divmod(np.arange(4 * n), 4)
-    hess[qubit, coord, qubit, coord] -= np.repeat(radial, 2, axis=0)[coord, qubit]
     # mu is homogeneous of degree n, so u . grad = n mu
-    value = radial.sum(axis=(0, 1)) / n
     if uniform:
-        grad, frames = grad.sum(axis=1, keepdims=True), frames[:, :, :1]
-        hess = hess.sum(axis=(0, 2), keepdims=True)
+        grad, value = n * grad, radial.sum(axis=(0, 1))
+        hess = n * (n - 1) * pair_hess[:, :, 0]
+        hess[range(4), range(4)] -= n * np.repeat(radial[:, 0], 2, axis=0)
+    else:
+        hess = np.zeros((n, 4, n, 4, rows))
+        hess[first, :, second] = pair_hess.transpose(2, 0, 1, 3)
+        hess[second, :, first] = pair_hess.transpose(2, 1, 0, 3)
+        qubit, coord = np.divmod(np.arange(4 * n), 4)
+        hess[qubit, coord, qubit, coord] -= np.repeat(radial, 2, axis=0)[coord, qubit]
+        value = radial.sum(axis=(0, 1)) / n
     m = grad.shape[1]
     return (value, grad.transpose(2, 1, 0).reshape(rows, 4 * m),
             hess.reshape(4 * m, 4 * m, rows).transpose(2, 0, 1), frames)
@@ -487,9 +517,7 @@ def maximize(
     # the sweep matrices are complex once per call, not cast in every contraction
     if uniform:
         tensor = _symmetrized(tensor)
-        # bounds the Hessian of mu in (x, y) over |x|, |y| <= 1, where
-        # |z| <= sqrt(2): a shift this large makes every step an ascent
-        shift = n * (n - 1) * 2.0 ** ((n - 2) / 2) * float(np.linalg.norm(tensor))
+        shift = _ascent_shift(tensor)
         z[:] = z[:, :1]
         sweep = partial(_power_sweep, tensor.reshape(3, -1).astype(complex), z, sign, shift)
     else:
@@ -514,9 +542,11 @@ def maximize(
     newton_steps = 0
     paired = _pair_stack(tensor)
     if gain > TOL_GAIN * scale:
-        # rows are independent; blocks keep the Hessians and their solves small
-        for block in range(0, rows, POLISH_ROWS):
-            part = slice(block, block + POLISH_ROWS)
+        # rows are independent; blocks keep the Hessians and their solves small,
+        # and a uniform Hessian has n^2 times fewer entries than a general one
+        size = POLISH_ROWS * n * n if uniform else POLISH_ROWS
+        for block in range(0, rows, size):
+            part = slice(block, block + size)
             values[part], steps = _newton_polish(tensor, x[part], y[part], sign[part],
                                                  uniform, TOL_GAIN * scale, paired)
             newton_steps = max(newton_steps, steps)

@@ -20,6 +20,7 @@ times a power of i counted by popcounts, and the word sends basis index
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -331,7 +332,7 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
         if n is None:
             raise ValueError("parsing '0' needs an explicit qubit count")
         return PauliSum.zero(n)
-    words: list[PauliWord] = []
+    sums: dict[tuple[int, ...], complex] = {}  # the written terms of each word, summed
     for chunk in _split_terms(text.replace(" ", "")):
         sign = 1.0
         while chunk and chunk[0] in "+-":
@@ -341,7 +342,7 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
         if "*" in chunk:
             coeff_text, word_text = chunk.rsplit("*", 1)
             coeff = _parse_coeff(coeff_text)
-            if 0 < abs(coeff) <= TOL_ALG:  # PauliSum would prune it silently
+            if 0 < math.hypot(coeff.real, coeff.imag) <= TOL_ALG:  # PauliSum would prune it
                 raise ValueError(f"coefficient {coeff_text!r} is at most {TOL_ALG:g}")
         else:
             coeff, word_text = 1.0 + 0j, chunk
@@ -350,8 +351,17 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
             raise ValueError(f"bad term {chunk!r}; expected [coeff*]s(j1,...,jn)")
         letters = tuple(int(j) for j in m.group(1).split(","))
         # negation, not a product: 0 * inf in a product would be a NaN part
-        words.append(PauliWord(letters, coeff if sign > 0 else -coeff))
-    s = PauliSum.from_words(words)
+        sums[letters] = sums.get(letters, 0j) + (coeff if sign > 0 else -coeff)
+    for letters, total in sums.items():
+        modulus = math.hypot(total.real, total.imag)  # where abs() would raise, this is inf
+        if modulus == math.inf and cmath.isfinite(total):
+            raise ValueError(f"the terms of {render_word(letters)} sum to {total:.3g}, "
+                             "whose modulus is beyond the float range")
+        # PauliSum would prune an inexact cancellation silently; an exact one is zero
+        if total != 0 and not modulus > TOL_ALG:
+            raise ValueError(f"the terms of {render_word(letters)} sum to {total:.3g}, "
+                             f"which is nonzero but not above {TOL_ALG:g}")
+    s = PauliSum.from_words([PauliWord(letters, total) for letters, total in sums.items()])
     if n is not None and s.n != n:
         raise ValueError(f"expected {n} qubits, parsed {s.n}")
     return s

@@ -794,3 +794,108 @@ class TestBlockAndLayoutBitIdentity:
             assert np.array_equal(norms, np.stack((np.linalg.norm(w.real, axis=1),
                                                    np.linalg.norm(w.imag, axis=1)), 1),
                                   equal_nan=True)
+
+
+# the uniform model as it was before it contracted one pair: the per-qubit
+# model over every pair, tied by the chain rule
+
+
+def old_uniform_model(tensor, x, y, sign):
+    rows, n, _ = x.shape
+    first, second, others = bd._pair_layout(n)
+    z = x.T + 1j * y.T
+    paired = bd._pair_stack(tensor)
+    rest = z[:, others[:, 0]]
+    for k in range(1, n - 2):
+        rest = (rest[:, None] * z[:, others[:, k]]).reshape(-1, len(first), rows)
+    blocks = sign * (paired @ rest.transpose(1, 0, 2)).reshape(-1, 3, 3, rows)
+    c = np.concatenate((np.sum(blocks[:1] * z[None, None, :, 1], axis=2),
+                        np.sum(blocks[:n - 1] * z[None, :, None, 0], axis=1)))
+    c = c.transpose(1, 0, 2)
+    frames = np.concatenate((bd._tangent_frames(x.T), 1j * bd._tangent_frames(y.T)), axis=1)
+    grad = np.sum(frames * c[:, None], axis=0).real
+    radial = np.stack((np.sum(x.T * c.real, axis=0), -np.sum(y.T * c.imag, axis=0)))
+    half = np.einsum("jpqr,jkqr->pkqr", frames[:, :, first], blocks.transpose(1, 2, 0, 3))
+    pair_hess = np.einsum("pkqr,ksqr->psqr", half, frames[:, :, second]).real
+    hess = np.zeros((n, 4, n, 4, rows))
+    hess[first, :, second] = pair_hess.transpose(2, 0, 1, 3)
+    hess[second, :, first] = pair_hess.transpose(2, 1, 0, 3)
+    qubit, coord = np.divmod(np.arange(4 * n), 4)
+    hess[qubit, coord, qubit, coord] -= np.repeat(radial, 2, axis=0)[coord, qubit]
+    value = radial.sum(axis=(0, 1)) / n
+    grad, frames = grad.sum(axis=1), frames[:, :, :1]
+    hess = hess.sum(axis=(0, 2))
+    return value, grad.T, hess.transpose(2, 0, 1), frames
+
+
+def frobenius_shift(tensor):
+    """The shift maximize took before: ||T||_F in place of sigma_max."""
+    n = tensor.ndim
+    return n * (n - 1) * 2.0 ** ((n - 2) / 2) * float(np.linalg.norm(tensor))
+
+
+def euclidean_hessian_norm(tensor, x, y):
+    """Spectral norm of the Hessian of mu in (x, y) at one uniform point.
+
+    With A = n(n-1) T(z^(n-2)) and dz = dx + i dy, the second derivative is
+    Re A(dz, dz) = dx.Re A dx - dy.Re A dy - 2 dx.Im A dy.
+    """
+    n = tensor.ndim
+    z = x + 1j * y
+    subs = "abcd"[:n] + "".join("," + a for a in "abcd"[2:n]) + "->ab"
+    a = n * (n - 1) * np.einsum(subs, tensor, *([z] * (n - 2)))
+    hess = np.block([[a.real, -a.imag], [-a.imag, -a.real]])
+    return np.linalg.norm(hess, 2)
+
+
+class TestUniformAscent:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_shift_between_hessian_and_frobenius_bounds(self, n):
+        rng = np.random.default_rng(9100 + n)
+        for _ in range(4):
+            v = StateVector(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
+            tensor = bd._symmetrized(bd._pauli_expectation_tensor(v))
+            shift = bd._ascent_shift(tensor)
+            assert shift <= frobenius_shift(tensor)
+            x = bd._random_units(rng, (300, 3))
+            y = bd._random_units(rng, (300, 3))
+            # half the points on the spheres, where the bound is tightest
+            x[150:] *= rng.uniform(0, 1, (150, 1))
+            y[150:] *= rng.uniform(0, 1, (150, 1))
+            largest = max(euclidean_hessian_norm(tensor, xr, yr) for xr, yr in zip(x, y))
+            assert 0 < largest <= shift
+
+    @pytest.mark.parametrize("state", ["random3", "random4", *bd.BOUND_STATE_IDS])
+    def test_power_sweeps_at_the_shift_never_lower_a_row(self, state):
+        if state.startswith("random"):
+            n = int(state[-1])
+            tensor, z = sweep_setup(n, 9200 + n, rows=32, mode="uniform")
+        else:
+            n = bd.bound_state(state).n
+            tensor = bd._symmetrized(bd._pauli_expectation_tensor(bd.bound_state(state)))
+            _, z = sweep_setup(n, 9210, rows=32, mode="uniform")
+        sign = np.repeat([1.0, -1.0], 16)
+        matrix, shift = tensor.reshape(3, -1).astype(complex), bd._ascent_shift(tensor)
+        previous = einsum_value(tensor, z.real, z.imag, sign)
+        for _ in range(50):
+            assert np.allclose(bd._power_sweep(matrix, z, sign, shift), previous,
+                               rtol=0, atol=1e-12)
+            current = einsum_value(tensor, z.real, z.imag, sign)
+            assert np.all(current >= previous - 1e-12)
+            previous = current
+
+    @pytest.mark.parametrize("state", ["random3", "random4", *bd.BOUND_STATE_IDS])
+    def test_uniform_model_matches_the_chain_rule_sum(self, state):
+        if state.startswith("random"):
+            n = int(state[-1])
+            tensor, x, y, sign = TestNewtonPolish.setup_rows(n, "uniform", 9300 + n, rows=40)
+        else:
+            n = bd.bound_state(state).n
+            tensor = bd._symmetrized(bd._pauli_expectation_tensor(bd.bound_state(state)))
+            _, x, y, sign = TestNewtonPolish.setup_rows(n, "uniform", 9310, rows=40)
+        new = bd._tangent_model(tensor, x, y, sign, True)
+        old = old_uniform_model(tensor, x, y, sign)
+        for got, want in zip(new, old):
+            assert got.shape == want.shape
+            scale = max(1.0, np.abs(want).max())
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)

@@ -405,3 +405,19 @@ def test_integer_valued_float_coefficient_in_system_file_is_accepted(tmp_path, c
     path.write_text(json.dumps([{"expr": "-3.0*s(1,1,1)", "target": -3}]))
     assert cli.main(["instr", "--system-file", str(path), "--max-solutions", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 32
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("(1.7e308+1.7e308i)*s(1,1,1)",
+     "the terms of s(1,1,1) sum to 1.7e+308+1.7e+308j, whose modulus is beyond the float range"),
+    ("0.1*s(1,1,1) + 0.2*s(1,1,1) - 0.3*s(1,1,1)",
+     "the terms of s(1,1,1) sum to 5.55e-17+0j, which is nonzero but not above 1e-12"),
+])
+def test_unusable_summed_coefficient_in_system_file_is_one_line_error(tmp_path, capsys, expr,
+                                                                      message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"expr": expr, "target": 0}]))
+    assert cli.main(["instr", "--system-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"merminkit: error: {message}"]

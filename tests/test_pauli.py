@@ -329,3 +329,24 @@ def test_parse_keeps_exact_cancellation_and_small_kept_coefficients():
     assert parse_sum("s(1,1) - s(1,1)").is_zero()
     ((_, coeff),) = parse_sum("2e-12*s(1,1)").terms()
     assert coeff == 2e-12
+
+
+@pytest.mark.parametrize("text", ["0.1*s(1,1,1) + 0.2*s(1,1,1) - 0.3*s(1,1,1)",
+                                  "s(2,2) + 0.1i*s(1,1) + 0.2i*s(1,1) - 0.3i*s(1,1)",
+                                  "1e999*s(1,1,1) - 1e999*s(1,1,1)"])
+def test_parse_refuses_terms_that_cancel_inexactly(text):
+    with pytest.raises(ValueError, match="nonzero but not above 1e-12"):
+        parse_sum(text)
+
+
+def test_parse_keeps_exact_cancellation_of_several_terms():
+    assert parse_sum("0.5*s(1,1,1) + 0.25*s(1,1,1) - 0.75*s(1,1,1)").is_zero()
+    ((letters, coeff),) = parse_sum("0.5*s(1,2) + 0.25*s(1,2) + s(3,3) - s(3,3)").terms()
+    assert (letters, coeff) == ((1, 2), 0.75)
+
+
+@pytest.mark.parametrize("text", ["(1.7e308+1.7e308i)*s(1,1,1)",
+                                  "(1e308+1e308i)*s(1,1) + (0.7e308+0.7e308i)*s(1,1)"])
+def test_parse_refuses_a_modulus_beyond_the_float_range(text):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        parse_sum(text)

@@ -9,13 +9,15 @@ which is what makes the eigenproblem a small linear system.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
 
 import numpy as np
 
 from .pauli import TOL_ALG, PauliSum, PauliWord, identity, render_word, sigma
-from .states import StateVector, catalog_state, is_exchange_symmetric, unit_scaled
+from .states import (StateVector, catalog_state, check_qubit_count,
+                     is_exchange_symmetric, unit_scaled)
 
 TOL_RANK = 1e-9
 
@@ -99,7 +101,7 @@ def candidate_words(n: int) -> list[tuple[int, ...]]:
     return [
         letters
         for letters in product((1, 2), repeat=n)
-        if sum(1 for j in letters if j == 2) % 2 == 0
+        if letters.count(2) % 2 == 0
     ]
 
 
@@ -155,6 +157,16 @@ def _word_signs(n: int) -> np.ndarray:
     return chi
 
 
+def _support(v: StateVector) -> np.ndarray:
+    """The pairs {k, ~k} above ``TOL_RANK`` in ``unit_scaled(v)``, an exact rescale."""
+    check_qubit_count(v.n)
+    u = unit_scaled(v)
+    if not is_exchange_symmetric(u, tol=TOL_ALG * float(np.max(np.abs(u.amps)))):
+        raise ValueError("state is not symmetric under the e1<->e2 exchange")
+    big = np.abs(u.amps) > TOL_RANK
+    return (big | big[::-1])[:1 << (v.n - 1)]
+
+
 def eigen_basis(v: StateVector) -> EigenBasis:
     """Solve C v = gamma v over the span of the candidate words.
 
@@ -166,18 +178,10 @@ def eigen_basis(v: StateVector) -> EigenBasis:
     support and free off it: the span of the summed support rows (gamma = 1)
     and the rows off the support (gamma = 0).  The basis is the exact RREF of
     those integer rows over the candidate word order, so it is deterministic.
-    The support is read on ``unit_scaled(v)``: its factor is exact, so
-    ``TOL_RANK`` decides it the same way at every scale.
     """
-    u = unit_scaled(v)
-    if not is_exchange_symmetric(u, tol=TOL_ALG * float(np.max(np.abs(u.amps)))):
-        raise ValueError("state is not symmetric under the e1<->e2 exchange")
-    n = v.n
-    words = candidate_words(n)
-    half = 1 << (n - 1)
-    signs = _word_signs(n)[:half]
-    big = np.abs(u.amps) > TOL_RANK
-    on = big[:half] | big[::-1][:half]
+    on = _support(v)
+    words = candidate_words(v.n)
+    signs = _word_signs(v.n)[:len(on)]
     rows, pivots = _rref([(on @ signs).tolist()] + signs[~on].tolist())
     first = signs[on][0].tolist()
     operators: list[PauliSum] = []
@@ -189,33 +193,39 @@ def eigen_basis(v: StateVector) -> EigenBasis:
     return EigenBasis(state=v, operators=operators, eigenvalues=eigenvalues)
 
 
-def in_span(op: PauliSum, basis: EigenBasis, tol: float = 1e-9) -> bool:
-    """Whether an operator lies in the coefficient span of a discovered basis."""
-    words = candidate_words(basis.state.n)
-    if not {letters for letters, _ in op.terms()} <= set(words):
-        return False  # identity, s3 or odd-s2 terms lie outside every candidate span
-    target = op.coefficient_vector(words)
-    if not len(basis.operators):
-        return bool(np.all(np.abs(target) <= tol))
-    mat = np.array([b.coefficient_vector(words) for b in basis.operators]).T
-    coeffs, residual, _, _ = np.linalg.lstsq(mat, target, rcond=None)
-    return bool(np.linalg.norm(mat @ coeffs - target) <= tol)
+def _eigenvalues(v: StateVector, ops):
+    """Yield each operator's eigenvalue on v, or None where it does not fix v.
+
+    The test of ``eigen_basis``, exact: sign rows differ by 0 or +-2, so the
+    ``math.fsum`` (Shewchuk, DCG 18, 1997) of each half difference over c * 2^-e,
+    in [-2, 2) so that no sum overflows, is zero exactly when the exact sum is.
+    """
+    words = candidate_words(v.n)
+    signs = _word_signs(v.n)[:1 << (v.n - 1)][_support(v)]
+    rows = np.concatenate((signs[:1], (signs[1:] - signs[0]) // 2))
+    rests = [dict(op.terms()) for op in ops]  # what is left is not a candidate word
+    parts = np.array([[r.pop(w, 0j) for w in words] for r in rests]).view(float)
+    exps = np.frexp(np.abs(parts).max(axis=1))[1] - 1
+    terms = rows * np.ldexp(parts, -exps[:, None]).view(complex)[:, None]
+    for rest, e, op_terms in zip(rests, exps.tolist(), terms.view(float).tolist()):
+        sums = [complex(math.fsum(row[::2]), math.fsum(row[1::2])) for row in op_terms]
+        yield None if rest or any(sums[1:]) else sums[0] * 2.0 ** e
+
+
+def in_span(op: PauliSum, basis: EigenBasis) -> bool:
+    """Whether op fixes ``basis.state``: lies in the span of its eigen-rows, exactly."""
+    return next(_eigenvalues(basis.state, [op])) is not None
 
 
 # -- the catalog of known rows ------------------------------------------------
 
-# hard-coded (operators, eigenvalues) rows, keyed by states.catalog_state ids
 _CATALOG_ROWS = {
-    "u3": lambda: ([sigma(1, 1, 1)] + [sigma(*w) for w in GHZ3_FACTOR_WORDS],
-                   [1.0, -1.0, -1.0, -1.0]),
-    "v31~": lambda: ([sigma(1, 1, 1), tau3()], [1.0, 1.0]),
-    "u4": lambda: ([sigma(1, 1, 1, 1)] + [sigma(*w) for w in _TAU4_WORDS]
-                   + [sigma(2, 2, 2, 2)], [1.0] + [-1.0] * 6 + [1.0]),
-    "v41~": lambda: ([sigma(1, 1, 1, 1)] + [tau4_i(i) for i in (1, 2, 3)]
-                     + [sigma(2, 2, 2, 2)], [1.0, 0.0, 0.0, 0.0, -1.0]),
-    "v42~": lambda: ([sigma(1, 1, 1, 1)]
-                     + [tau4_ij(i, j) for i in (1, 2, 3, 4) for j in (1, 2)]
-                     + [sigma(2, 2, 2, 2)], [1.0] * 10),
+    "u3": lambda: [sigma(1, 1, 1)] + [sigma(*w) for w in GHZ3_FACTOR_WORDS],
+    "v31~": lambda: [sigma(1, 1, 1), tau3()],
+    "u4": lambda: [sigma(*w) for w in ((1, 1, 1, 1), *_TAU4_WORDS, (2, 2, 2, 2))],
+    "v41~": lambda: [sigma(1, 1, 1, 1), *map(tau4_i, (1, 2, 3)), sigma(2, 2, 2, 2)],
+    "v42~": lambda: [sigma(1, 1, 1, 1), *starmap(tau4_ij, _TAU4_IJ_WORDS),
+                     sigma(2, 2, 2, 2)],
 }
 STATE_IDS = tuple(_CATALOG_ROWS)
 
@@ -225,8 +235,8 @@ def catalog_basis(state_id: str, coeffs=None) -> EigenBasis:
     if state_id not in _CATALOG_ROWS:
         raise ValueError(f"no catalog row for {state_id!r}; known rows: {STATE_IDS}")
     state = catalog_state(state_id, coeffs)
-    ops, gammas = _CATALOG_ROWS[state_id]()
-    return EigenBasis(state=state, operators=ops, eigenvalues=gammas)
+    ops = _CATALOG_ROWS[state_id]()
+    return EigenBasis(state, ops, [g.real for g in _eigenvalues(state, ops)])
 
 
 # -- operator identities ------------------------------------------------------

@@ -415,3 +415,78 @@ def test_in_span_refuses_terms_outside_the_candidate_words(extra):
     basis = eo.eigen_basis(eo.catalog_state("u3"))
     assert eo.in_span(sigma(1, 1, 1), basis)
     assert not eo.in_span(sigma(1, 1, 1) + extra, basis)
+
+
+# -- in_span and the catalog eigenvalues, read off the sign table --------------
+
+
+@pytest.mark.parametrize("factor", [1e6, 1e12, 2.0 ** -40, 1j])
+@pytest.mark.parametrize("state_id", eo.STATE_IDS)
+def test_in_span_holds_at_every_scale_and_phase(state_id, factor):
+    solved = eo.eigen_basis(eo.catalog_state(state_id))
+    catalog = eo.catalog_basis(state_id)
+    for op in catalog.operators:
+        assert eo.in_span(factor * op, solved), render_sum(op)
+        assert eo.in_span(factor * op, catalog), render_sum(op)
+
+
+def test_a_tiny_multiple_of_an_outside_operator_stays_outside():
+    basis = eo.eigen_basis(eo.catalog_state("v31~"))
+    assert not eo.in_span(sigma(1, 2, 2), basis)
+    assert not eo.in_span(1e-10 * sigma(1, 2, 2), basis)
+
+
+def _in_exact_span(op, basis, rank):
+    """Whether op adds nothing to the rank of basis.operators, over Fractions."""
+    words = sorted({ls for s in (op, *basis.operators) for ls, _ in s.terms()})
+    assert all(b.coefficient(w).imag == 0 for b in basis.operators for w in words)
+    rows = [[Fraction(b.coefficient(w).real) for w in words] for b in basis.operators]
+    extra = [[Fraction(part(op.coefficient(w))) for w in words]
+             for part in (lambda c: c.real, lambda c: c.imag)]
+    return len(_fraction_rref(rows + extra)[1]) == rank
+
+
+def _span_corpus(rng, basis):
+    """Integer combinations of the rows, each plus one candidate word, every word."""
+    words = eo.candidate_words(basis.state.n)
+    combos = []
+    for _ in range(3):
+        op = 0.0 * basis.operators[0]
+        for k, row in zip(rng.integers(-3, 4, len(basis)), basis.operators):
+            op = op + float(k) * row
+        combos.append(op)
+    picks = rng.integers(len(words), size=len(combos))
+    return (combos + [op + sigma(*words[i]) for op, i in zip(combos, picks)]
+            + [sigma(*w) for w in words])
+
+
+def test_in_span_agrees_with_an_exact_rank_test():
+    rng = np.random.default_rng(20261019)
+    fours = [v for v, _ in _SUPPORTS if v.n == 4]
+    states = [v for v, _ in _SUPPORTS if v.n == 3] + [
+        fours[i] for i in rng.choice(len(fours), 25, replace=False)]
+    verdicts = []
+    for v in states:
+        basis = eo.eigen_basis(v)
+        words = eo.candidate_words(v.n)
+        rank = len(_fraction_rref([[Fraction(b.coefficient(w).real) for w in words]
+                                   for b in basis.operators])[1])
+        for op in _span_corpus(rng, basis):
+            verdict = eo.in_span(op, basis)
+            assert verdict == _in_exact_span(op, basis, rank), render_sum(op)
+            verdicts.append(verdict)
+    assert len(states) == 40 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_catalog_zero_eigenvalues_are_positive_zero():
+    zeros = [g for g in eo.catalog_basis("v41~").eigenvalues if g == 0]
+    assert len(zeros) == 3
+    assert all(math.copysign(1.0, g) == 1.0 for g in zeros)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_eigen_basis_refuses_an_unsupported_qubit_count(n):
+    amps = np.zeros(1 << n)
+    amps[0] = amps[-1] = 1
+    with pytest.raises(ValueError, match="unsupported qubit count"):
+        eo.eigen_basis(StateVector(n, amps))

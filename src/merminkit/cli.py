@@ -58,8 +58,6 @@ def _parse_coeff_list(text: str | None):
         return None
     coeffs = []
     for chunk in text.split(","):
-        if chunk.strip() in ("", "+", "-"):
-            raise ValueError(f"missing coefficient in {text!r}")
         coeff = _parse_coeff(chunk)
         if not cmath.isfinite(coeff):
             raise ValueError(f"coefficient {chunk.strip()!r} is not finite")
@@ -217,7 +215,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("instr", help="solve an instructional-set system")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--device", choices=instructional.devices())
+    group.add_argument("--device", help="a built-in device; an unknown name is "
+                                        "refused with the list of known devices")
     group.add_argument("--system-file",
                        help="JSON list of {expr, target[, poly]} equations")
     p.add_argument("--max-solutions", type=int, default=10)

@@ -11,6 +11,7 @@ verdicts are unconditional.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,6 +233,7 @@ def parity_certificate(system: InstructionalSystem) -> list[int] | None:
 # -- device catalog -----------------------------------------------------------
 
 
+@functools.cache
 def _build_devices() -> dict[str, InstructionalSystem]:
     """Each device is a selection of one catalog eigen-row's operators.
 
@@ -264,16 +266,13 @@ def _build_devices() -> dict[str, InstructionalSystem]:
     return devices
 
 
-_DEVICES = _build_devices()
-
-
 def devices() -> list[str]:
-    return sorted(_DEVICES)
+    return sorted(_build_devices())
 
 
 def device_system(device_id: str) -> InstructionalSystem:
     try:
-        return _DEVICES[device_id]
+        return _build_devices()[device_id]
     except KeyError:
         raise ValueError(
             f"unknown device {device_id!r}; known devices: {', '.join(devices())}"

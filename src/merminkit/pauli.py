@@ -247,7 +247,12 @@ def identity(n: int) -> PauliSum:
 # Words render as "s(j1,...,jn)" with an optional leading complex coefficient
 # ("2*", "-s(...)", "1.5i*", "(1+2i)*"); sums join terms with " + " / " - ".
 
-_WORD_RE = re.compile(r"^s\((\d(?:,\d)*)\)$")
+# one term: a sign (required after the first term), an optional coefficient and
+# "*", then the word; a coefficient is parenthesized, or a run without "()*+-"
+# whose only signs follow an exponent's e
+_TERM_RE = re.compile(r"(?P<sign>[+-]?)"
+                      r"(?:(?P<coeff>\([^()]*\)|(?:[^()*+eE-]|[eE][+-]?)+)\*)?"
+                      r"s\((?P<word>\d(?:,\d)*)\)")
 
 
 def _fmt_real(x: float) -> str:
@@ -294,10 +299,6 @@ def render_sum(s: PauliSum) -> str:
 
 def _parse_coeff(text: str) -> complex:
     text = text.strip().replace(" ", "")
-    if text in ("", "+"):
-        return 1.0 + 0j
-    if text == "-":
-        return -1.0 + 0j
     try:
         coeff = complex(text.replace("i", "j"))
     except ValueError as exc:
@@ -307,51 +308,30 @@ def _parse_coeff(text: str) -> complex:
     return coeff
 
 
-def _split_terms(text: str) -> list[str]:
-    chunks: list[str] = []
-    depth = 0
-    start = 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and pos > start:
-            if text[pos - 1] in "eE" and text[pos - 2 : pos - 1].isdigit():
-                continue  # exponent sign
-            chunks.append(text[start:pos])
-            start = pos
-    chunks.append(text[start:])
-    return [c for c in chunks if c.strip()]
-
-
 def parse_sum(text: str, n: int | None = None) -> PauliSum:
-    """Parse the textual sum grammar back into a PauliSum."""
-    text = text.strip()
+    """Parse the textual sum grammar back into a PauliSum; whitespace is ignored."""
+    text = "".join(text.split())
     if text == "0":
         if n is None:
             raise ValueError("parsing '0' needs an explicit qubit count")
         return PauliSum.zero(n)
     sums: dict[tuple[int, ...], complex] = {}  # the written terms of each word, summed
-    for chunk in _split_terms(text.replace(" ", "")):
-        sign = 1.0
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:]
-        if "*" in chunk:
-            coeff_text, word_text = chunk.rsplit("*", 1)
+    pos = 0
+    while pos == 0 or pos < len(text):  # at least one term
+        m = _TERM_RE.match(text, pos)
+        if m is None or (pos and not m["sign"]):
+            raise ValueError(f"bad term at {text[pos:]!r}; expected "
+                             "[+-][coeff*]s(j1,...,jn), with a sign before every later term")
+        coeff_text, pos = m["coeff"], m.end()
+        if coeff_text is None:
+            coeff = 1.0 + 0j
+        else:
             coeff = _parse_coeff(coeff_text)
             if 0 < math.hypot(coeff.real, coeff.imag) <= TOL_ALG:  # PauliSum would prune it
                 raise ValueError(f"coefficient {coeff_text!r} is at most {TOL_ALG:g}")
-        else:
-            coeff, word_text = 1.0 + 0j, chunk
-        m = _WORD_RE.match(word_text)
-        if m is None:
-            raise ValueError(f"bad term {chunk!r}; expected [coeff*]s(j1,...,jn)")
-        letters = tuple(int(j) for j in m.group(1).split(","))
+        letters = tuple(int(j) for j in m["word"].split(","))
         # negation, not a product: 0 * inf in a product would be a NaN part
-        sums[letters] = sums.get(letters, 0j) + (coeff if sign > 0 else -coeff)
+        sums[letters] = sums.get(letters, 0j) + (-coeff if m["sign"] == "-" else coeff)
     for letters, total in sums.items():
         modulus = math.hypot(total.real, total.imag)  # where abs() would raise, this is inf
         if modulus == math.inf and cmath.isfinite(total):

@@ -421,3 +421,49 @@ def test_unusable_summed_coefficient_in_system_file_is_one_line_error(tmp_path, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"merminkit: error: {message}"]
+
+
+@pytest.mark.parametrize("expr", ["*s(1,1,1)", "-*s(1,1,1)", "s(1,1,1) + *s(2,2,1)"])
+def test_empty_coefficient_in_system_file_is_one_line_error(tmp_path, capsys, expr):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"expr": expr, "target": 1}]))
+    assert cli.main(["instr", "--system-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("merminkit: error: bad term at '")
+
+
+def test_system_file_reads_an_exponent_sign_after_a_trailing_point(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"expr": "1.E+0*s(1,2,2) +\ts(2,1,2)\n+ s(2,2,1)",
+                                 "target": 1, "poly": "f3"}]))
+    assert cli.main(["instr", "--system-file", str(path), "--max-solutions", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 32
+
+
+def test_unknown_device_is_one_line_error_listing_the_devices(capsys):
+    assert cli.main(["instr", "--device", "zz"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert "unknown device 'zz'; known devices: u3, u3-last3, u4-1," in err
+
+
+@pytest.mark.parametrize("chunks", ["1,,2", " ,1,1", "-,+,1", "1,2,*"])
+def test_coeffs_chunk_that_is_not_a_number_is_refused(chunks):
+    with pytest.raises(ValueError, match="bad coefficient"):
+        cli._parse_coeff_list(chunks)
+
+
+def test_devices_are_built_only_when_a_device_is_asked_for():
+    code = ("import contextlib, io, merminkit.cli as cli, merminkit.instructional as ins\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['state', '--id', 'u3']) == 0\n"
+            "    assert cli.main(['instr', '--help']) == 0\n"
+            "assert ins._build_devices.cache_info().misses == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['instr', '--device', 'u3-last3']) == 0\n"
+            "assert ins._build_devices.cache_info().misses == 1\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -1,10 +1,13 @@
 """Tests for the tensor-word algebra: products, actions, text form."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from merminkit import eigenops, instructional
+from merminkit.cli import _parse_coeff_list
 from merminkit.eigenops import tau3, tau4, tau4_i, tau4_ij
 from merminkit.pauli import (
     PauliSum,
@@ -350,3 +353,51 @@ def test_parse_keeps_exact_cancellation_of_several_terms():
 def test_parse_refuses_a_modulus_beyond_the_float_range(text):
     with pytest.raises(ValueError, match="beyond the float range"):
         parse_sum(text)
+
+
+@pytest.mark.parametrize("text,expected", [("1.E+3*s(1,1)", 1000 * sigma(1, 1)),
+                                           ("5.e-1i*s(1,2)", sigma(1, 2, coeff=0.5j)),
+                                           ("s(1,1) - 1.E-1*s(2,2)",
+                                            sigma(1, 1) - 0.1 * sigma(2, 2))])
+def test_parse_reads_an_exponent_sign_after_a_trailing_point(text, expected):
+    assert parse_sum(text) == expected
+
+
+@pytest.mark.parametrize("text", ["*s(1,1,1)", "-*s(1,1)", "s(1)+*s(2)"])
+def test_parse_refuses_an_empty_coefficient(text):
+    with pytest.raises(ValueError, match="bad term"):
+        parse_sum(text)
+
+
+@pytest.mark.parametrize("text,rest", [("--s(1)", "'--s(1)'"), ("s(1)+-s(2)", "'+-s(2)'"),
+                                       ("s(1)s(2)", "'s(2)'"), ("s(1,1) + 2 * s(2)x", "'x'"),
+                                       ("", "''")])
+def test_parse_error_quotes_the_text_from_the_failing_term(text, rest):
+    with pytest.raises(ValueError, match=f"^bad term at {re.escape(rest)};") as info:
+        parse_sum(text)
+    assert "\n" not in str(info.value)
+
+
+def test_parse_ignores_whitespace_anywhere():
+    text = "2*s(1,2,2) - 1.5e-1i*s(2,1,2) + (1-2i)*s(2,2,1)"
+    expected = parse_sum(text)
+    for k in range(len(text) + 1):
+        for blank in ("\t", "\n", " \r\n "):
+            assert parse_sum(text[:k] + blank + text[k:]) == expected, (k, blank)
+
+
+@pytest.mark.parametrize("chunk", ["1.E+3", ".5", "5.", "1_000", "2i", "-i", "(1+2i)",
+                                   "1e-3i", "-2.5e+2"])
+def test_every_coeffs_chunk_is_a_term_coefficient(chunk):
+    (coeff,) = _parse_coeff_list(chunk)
+    assert parse_sum(f"{chunk}*s(1,1)") == sigma(1, 1, coeff=coeff)
+
+
+def test_catalog_rows_and_device_expressions_round_trip_exactly():
+    ops = [eq.expr for d in instructional.devices()
+           for eq in instructional.device_system(d).equations]
+    for state_id in eigenops.STATE_IDS:
+        ops += eigenops.catalog_basis(state_id).operators
+        ops += eigenops.eigen_basis(eigenops.catalog_state(state_id)).operators
+    for op in ops:
+        assert parse_sum(render_sum(op), n=op.n) == op, render_sum(op)

@@ -27,6 +27,7 @@ from .states import StateVector, catalog_state, check_qubit_count, unit_scaled
 
 TOL_UNIT = 1e-10
 DEFAULT_SEED = 0x4D45524D
+MODES = ("uniform", "general")
 
 _PAULI = np.array(
     [
@@ -497,7 +498,7 @@ def maximize(
     the earliest row.  The reported value is the dense-matrix |mu| at the
     winning setting.
     """
-    if mode not in ("uniform", "general"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     n = v.n
     check_qubit_count(n)
@@ -567,9 +568,13 @@ def maximize(
 
 # -- closed forms for the uniform-setting Dicke expectations -------------------
 
+CLOSED_FORM_IDS = ("v31", "v41", "v42")
+
 
 def _mu_poly(state_id: str, x3, y3, d):
     """Shared polynomial in (x3, y3, d) with d = x1 y1 + x2 y2; scalars or arrays."""
+    if state_id not in CLOSED_FORM_IDS:
+        raise ValueError(f"no closed form for state {state_id!r}")
     # products, not **: numpy's array pow can differ at y3 and -y3, which
     # would break the exact mirror between the two sign branches
     x2, y2 = x3 * x3, y3 * y3
@@ -577,10 +582,8 @@ def _mu_poly(state_id: str, x3, y3, d):
         return -3.0 * x2 * x3 + 5.0 * x3 * y2 - 4.0 * d * y3
     if state_id == "v41":
         return -4.0 * (x2 * x2 + y2 * y2) + 12.0 * x2 * y2 - 12.0 * d * x3 * y3
-    if state_id == "v42":
-        return (6.0 * (x2 * x2 + y2 * y2) - 16.0 * x2 * y2
-                - 4.0 * d * d + 16.0 * d * x3 * y3)
-    raise ValueError(f"no closed form for state {state_id!r}")
+    return (6.0 * (x2 * x2 + y2 * y2) - 16.0 * x2 * y2
+            - 4.0 * d * d + 16.0 * d * x3 * y3)
 
 
 def restricted_mu(state_id: str, x, y) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import os
 import sys
@@ -65,43 +66,31 @@ def _parse_coeff_list(text: str | None):
     return coeffs
 
 
-def _cmd_state(args) -> int:
-    state = states.catalog_state(args.id, _parse_coeff_list(args.coeffs))
-    emit(state.to_json_dict())
-    return 0
+def _cmd_state(args) -> dict:
+    return states.catalog_state(args.id, _parse_coeff_list(args.coeffs)).to_json_dict()
 
 
-def _cmd_eigenops(args) -> int:
+def _cmd_eigenops(args) -> dict:
     coeffs = _parse_coeff_list(args.coeffs)
     if args.catalog:
         basis = eigenops.catalog_basis(args.state, coeffs)
     else:
         basis = eigenops.eigen_basis(eigenops.catalog_state(args.state, coeffs))
-    emit(
-        {
-            "state": args.state,
-            "source": "catalog" if args.catalog else "solved",
-            "dimension": len(basis),
-            "operators": [render_sum(op) for op in basis.operators],
-            "eigenvalues": basis.eigenvalues,
-        }
-    )
-    return 0
+    return {
+        "state": args.state,
+        "source": "catalog" if args.catalog else "solved",
+        "dimension": len(basis),
+        "operators": [render_sum(op) for op in basis.operators],
+        "eigenvalues": basis.eigenvalues,
+    }
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> dict:
     checks = eigenops.verify_identities()
-    all_ok = all(c.ok for c in checks)
-    emit(
-        {
-            "identities": [{"name": c.name, "ok": c.ok} for c in checks],
-            "all_ok": all_ok,
-        }
-    )
-    if not all_ok:
-        print("identity verification failed", file=sys.stderr)
-        return 2
-    return 0
+    return {
+        "identities": [{"name": c.name, "ok": c.ok} for c in checks],
+        "all_ok": all(c.ok for c in checks),
+    }
 
 
 def _read_system(path: str) -> instructional.InstructionalSystem:
@@ -124,7 +113,7 @@ def _read_system(path: str) -> instructional.InstructionalSystem:
     return instructional.InstructionalSystem(equations[0].expr.n, equations)
 
 
-def _cmd_instr(args) -> int:
+def _cmd_instr(args) -> dict:
     if args.max_solutions < 0:
         raise ValueError(f"max-solutions must be >= 0, got {args.max_solutions}")
     if args.system_file is not None:
@@ -135,21 +124,16 @@ def _cmd_instr(args) -> int:
     report = verdict.report
     shown = [instructional.Assignment.from_index(i, report.n)
              for i in report.indices[: args.max_solutions].tolist()]
-    emit(
-        {
-            "device": verdict.device,
-            "explainable": verdict.explainable,
-            "count": report.count,
-            "solutions": [
-                {"xi": list(a.xi), "eta": list(a.eta)} for a in shown
-            ],
-            "certificate": verdict.certificate,
-        }
-    )
-    return 0
+    return {
+        "device": verdict.device,
+        "explainable": verdict.explainable,
+        "count": report.count,
+        "solutions": [{"xi": list(a.xi), "eta": list(a.eta)} for a in shown],
+        "certificate": verdict.certificate,
+    }
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> dict:
     state = bounds.bound_state(args.state)
     result = bounds.maximize(
         state,
@@ -158,37 +142,32 @@ def _cmd_bounds(args) -> int:
         starts=args.starts,
         target=bounds.EXACT_BOUNDS[args.state],
     )
-    emit(
-        {
-            "state": args.state,
-            "mode": args.mode,
-            "seed": args.seed,
-            "value": result.value,
-            "target": result.target,
-            "gap": result.gap,
-            "setting": result.setting.to_json_dict(),
-        }
-    )
-    return 0
+    return {
+        "state": args.state,
+        "mode": args.mode,
+        "seed": args.seed,
+        "value": result.value,
+        "target": result.target,
+        "gap": result.gap,
+        "setting": result.setting.to_json_dict(),
+    }
 
 
-def _cmd_contour(args) -> int:
+def _cmd_contour(args) -> dict:
     sign = 1 if args.sign == "+" else -1
     grid = bounds.contour(args.state, sign, args.res)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(bounds.contour_csv_rows(grid))
-    emit(
-        {
-            "state": args.state,
-            "sign": args.sign,
-            "resolution": args.res,
-            "out": args.out,
-            "max_abs_mu": float(abs(grid.values).max()),
-        }
-    )
-    return 0
+    return {
+        "state": args.state,
+        "sign": args.sign,
+        "resolution": args.res,
+        "out": args.out,
+        "max_abs_mu": float(abs(grid.values).max()),
+    }
 
 
+@functools.cache  # one parser per process; each parse_args fills a fresh namespace
 def build_parser() -> _Parser:
     parser = _Parser(prog="merminkit", description=__doc__)
     parser.add_argument("--version", action=_VersionAction, nargs=0,
@@ -204,7 +183,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_state)
 
     p = sub.add_parser("eigenops", help="solve or print a commuting eigenoperator set")
-    p.add_argument("--state", required=True, choices=list(eigenops.STATE_IDS))
+    p.add_argument("--state", required=True, choices=eigenops.STATE_IDS)
     p.add_argument("--coeffs")
     p.add_argument("--catalog", action="store_true",
                    help="print the hard-coded set instead of solving")
@@ -223,14 +202,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_instr)
 
     p = sub.add_parser("bounds", help="maximize |mu| over measurement settings")
-    p.add_argument("--state", required=True, choices=list(bounds.BOUND_STATE_IDS))
-    p.add_argument("--mode", choices=("uniform", "general"), default="general")
+    p.add_argument("--state", required=True, choices=bounds.BOUND_STATE_IDS)
+    p.add_argument("--mode", choices=bounds.MODES, default="general")
     p.add_argument("--seed", type=int, default=bounds.DEFAULT_SEED)
     p.add_argument("--starts", type=int, default=64)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("contour", help="sample a collinear landscape to CSV")
-    p.add_argument("--state", required=True, choices=("v31", "v41", "v42"))
+    p.add_argument("--state", required=True, choices=bounds.CLOSED_FORM_IDS)
     p.add_argument("--sign", required=True, choices=("+", "-"))
     p.add_argument("--res", type=int, default=101)
     p.add_argument("--out", required=True)
@@ -240,19 +219,24 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Parse argv, run its handler, emit the payload; return the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        emit(payload)
     except BrokenPipeError:  # the reader left: end quietly, and flush to devnull at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"merminkit: error: {exc}", file=sys.stderr)
         return 1
+    if payload.get("all_ok") is False:  # only identities reports all_ok
+        print("identity verification failed", file=sys.stderr)
+        return 2
+    return 0
 
 
 def entry() -> None:

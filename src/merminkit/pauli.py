@@ -285,16 +285,9 @@ def render_word(letters: tuple[int, ...], coeff: complex = 1.0) -> str:
 def render_sum(s: PauliSum) -> str:
     if s.is_zero():
         return "0"
-    parts: list[str] = []
-    for letters, coeff in s.terms():
-        if parts:
-            if coeff.imag == 0 and coeff.real < 0:
-                parts.append(" - " + render_word(letters, -coeff))
-                continue
-            parts.append(" + " + render_word(letters, coeff))
-        else:
-            parts.append(render_word(letters, coeff))
-    return "".join(parts)
+    first, *rest = (render_word(letters, coeff) for letters, coeff in s.terms())
+    # a later term's leading "-" becomes its joiner, which parse_sum requires
+    return first + "".join(" - " + t[1:] if t[0] == "-" else " + " + t for t in rest)
 
 
 def _parse_coeff(text: str) -> complex:

@@ -89,6 +89,9 @@ def unit_scaled(v: StateVector) -> StateVector:
     amplitude needs no unrepresentable factor.
     """
     top = float(np.max(np.abs(v.amps)))
+    # a NaN or infinite part makes top non-finite, but so can finite parts that overflow
+    if not math.isfinite(top) and not np.isfinite(v.amps).all():
+        raise ValueError("state has a non-finite amplitude")
     if top == 0:
         raise ValueError("state is identically zero")
     return StateVector(v.n, np.ldexp(v.amps.view(float), -math.frexp(top)[1]).view(complex))

@@ -899,3 +899,15 @@ class TestUniformAscent:
             assert got.shape == want.shape
             scale = max(1.0, np.abs(want).max())
             assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("make, pattern", [
+    (lambda: bd.MeasurementSetting(np.ones((3, 2)), np.ones((3, 2))),
+     r"^x must have shape \(3, 3\), got \(3, 2\)$"),
+    (lambda: bd.restricted_mu("v31", (1.0, 0.0), (0.0, 1.0, 0.0)), "^x must be a 3-vector$"),
+    (lambda: bd.restricted_mu("v31", (1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)),
+     "^y must be a 3-vector$"),
+], ids=["setting-shape", "restricted-x", "restricted-y"])
+def test_vectors_of_the_wrong_shape_are_refused(make, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        make()

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from merminkit import cli, eigenops
+from merminkit import bounds, cli, eigenops, states
 
 
 def run_cli(*args):
@@ -467,3 +467,41 @@ def test_devices_are_built_only_when_a_device_is_asked_for():
             "assert ins._build_devices.cache_info().misses == 1\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_CALLS))
+def test_handler_returns_the_payload_that_main_emits(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args(_VALID_CALLS[command])
+    payload = args.func(args)
+    assert isinstance(payload, dict)
+    assert capsys.readouterr() == ("", "")  # a handler writes nothing itself
+    assert cli.main(_VALID_CALLS[command]) == 0
+    from_main = capsys.readouterr().out
+    cli.emit(payload)
+    assert capsys.readouterr().out == from_main
+
+
+def test_one_parser_per_process_with_fresh_defaults_per_call(capsys):
+    cli.build_parser.cache_clear()
+    assert cli.main(["instr", "--device", "v41~", "--max-solutions", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["solutions"]) == 1
+    assert cli.main(["instr", "--device", "v41~"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["solutions"]) == 10
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_choices_are_the_tuples_the_library_checks(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for state_id in states.CATALOG_IDS:
+        argv = ["contour", "--state", state_id, "--sign", "+", "--res", "2", "--out", "g.csv"]
+        closed = state_id in bounds.CLOSED_FORM_IDS
+        assert cli.main(argv) == (0 if closed else 1)
+        if not closed:
+            with pytest.raises(ValueError, match="^no closed form for state "):
+                bounds.collinear_mu(state_id, 1, 0.0, 0.0)
+    for mode in bounds.MODES:
+        assert cli.main(["bounds", "--state", "u3", "--mode", mode, "--starts", "1"]) == 0
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        bounds.maximize(states.ghz(3), mode="bogus")

@@ -499,3 +499,13 @@ class TestExactIntegerCoefficients:
         assert eq.monomials == ((-3, 0b111),)
         assert ins.evaluate(eq.expr, ins.Assignment.from_index(0, 3)) == -3
         assert ins.solve(ins.InstructionalSystem(3, [eq])).count == 32
+
+
+def test_unknown_polynomial_is_refused():
+    with pytest.raises(ValueError, match="^unknown polynomial 'f5'$"):
+        ins.Equation(expr=sigma(1, 1, 1), target=1, poly="f5")
+
+
+def test_evaluate_refuses_an_assignment_of_another_qubit_count():
+    with pytest.raises(ValueError, match=r"^qubit counts differ: 3 != 4$"):
+        ins.evaluate(sigma(1, 1, 1), ins.Assignment((1,) * 4, (1,) * 4))

@@ -401,3 +401,39 @@ def test_catalog_rows_and_device_expressions_round_trip_exactly():
         ops += eigenops.eigen_basis(eigenops.catalog_state(state_id)).operators
     for op in ops:
         assert parse_sum(render_sum(op), n=op.n) == op, render_sum(op)
+
+
+def test_render_sum_round_trips_seeded_complex_sums():
+    # parts exact in 15 significant digits, so the rendered text holds every bit
+    rng = np.random.default_rng(20261019)
+
+    def part():
+        return float(f"{rng.uniform(-10, 10):.15g}e{rng.integers(-6, 7)}")
+
+    def coeff():
+        kind = rng.integers(5)
+        if kind == 0:
+            return complex(rng.choice([1, -1, 1j, -1j]))
+        return complex(part() if kind != 2 else 0.0, part() if kind != 1 else 0.0)
+
+    negative_imaginary_later = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 5))
+        keys = rng.choice(4 ** n, size=int(rng.integers(1, min(7, 4 ** n + 1))), replace=False)
+        s = PauliSum.from_words(
+            PauliWord(tuple(int(k) // 4 ** b % 4 for b in range(n)), coeff()) for k in keys)
+        negative_imaginary_later += any(c.imag < 0 for _, c in list(s.terms())[1:])
+        text = render_sum(s)
+        assert "+ -" not in text
+        assert parse_sum(text, n) == s, text
+    assert negative_imaginary_later > 100
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PauliWord(()), "word needs at least one letter"),
+    (lambda: PauliSum.from_words([]), "cannot infer qubit count from an empty word list"),
+    (lambda: parse_sum("0"), "parsing '0' needs an explicit qubit count"),
+], ids=["empty-word", "no-words", "zero-without-n"])
+def test_refusals_without_a_qubit_count(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

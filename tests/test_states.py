@@ -219,3 +219,17 @@ class TestUnitScaled:
     def test_zero_state_refused(self):
         with pytest.raises(ValueError, match="identically zero"):
             unit_scaled(StateVector(3, np.zeros(8)))
+
+
+@pytest.mark.parametrize("amp", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)],
+                         ids=["nan", "inf-imag", "minus-inf-real"])
+@pytest.mark.parametrize("call", [
+    lambda v: bounds.maximize(v, starts=2),
+    lambda v: bounds.expectation(v, bounds.MeasurementSetting.pauli12(3)),
+    lambda v: eigenops.eigen_basis(v),
+], ids=["maximize", "expectation", "eigen_basis"])
+def test_non_finite_amplitude_is_refused_by_every_numeric_path(call, amp):
+    amps = np.ones(8, dtype=complex)
+    amps[[2, 5]] = amp  # a conjugate pair, so the state stays exchange symmetric
+    with pytest.raises(ValueError, match="^state has a non-finite amplitude$"):
+        call(StateVector(3, amps))

@@ -60,7 +60,7 @@ def _as_unit_rows(vectors, n: int, label: str) -> np.ndarray:
     if arr.shape != (n, 3):
         raise ValueError(f"{label} must have shape ({n}, 3), got {arr.shape}")
     norms = np.linalg.norm(arr, axis=1)
-    if np.any(np.abs(norms - 1.0) > TOL_UNIT):
+    if not np.all(np.abs(norms - 1.0) <= TOL_UNIT):  # NaN fails too
         raise ValueError(f"{label} rows must be unit vectors, got norms {norms}")
     return arr
 
@@ -593,7 +593,7 @@ def restricted_mu(state_id: str, x, y) -> float:
     for label, vec in (("x", x), ("y", y)):
         if vec.shape != (3,):
             raise ValueError(f"{label} must be a 3-vector")
-        if abs(np.linalg.norm(vec) - 1.0) > TOL_UNIT:
+        if not abs(np.linalg.norm(vec) - 1.0) <= TOL_UNIT:  # NaN fails too
             raise ValueError(f"{label} must be a unit vector")
     d = float(x[0] * y[0] + x[1] * y[1])
     return _mu_poly(state_id, float(x[2]), float(y[2]), d)
@@ -608,7 +608,7 @@ def collinear_mu(state_id: str, sign: int, x3, y3):
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if np.any(np.abs(x3) > 1) or np.any(np.abs(y3) > 1):
+    if not (np.all(np.abs(x3) <= 1) and np.all(np.abs(y3) <= 1)):  # NaN fails too
         raise ValueError("x3 and y3 must lie in [-1, 1]")
     d = sign * np.sqrt(1.0 - x3 * x3) * np.sqrt(1.0 - y3 * y3)
     return _mu_poly(state_id, x3, y3, d)

@@ -15,7 +15,7 @@ from itertools import product, starmap
 
 import numpy as np
 
-from .pauli import TOL_ALG, PauliSum, PauliWord, identity, render_word, sigma
+from .pauli import TOL_ALG, PauliSum, PauliWord, identity, render_word, sigma, word_key
 from .states import (StateVector, catalog_state, check_qubit_count,
                      is_exchange_symmetric, unit_scaled)
 
@@ -105,9 +105,9 @@ def candidate_words(n: int) -> list[tuple[int, ...]]:
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenBasis:
-    """A commuting set of operators sharing one eigenvector."""
+    """A commuting set of operators sharing one eigenvector; frozen for ``sign_rows``."""
 
     state: StateVector
     operators: list[PauliSum]
@@ -115,6 +115,14 @@ class EigenBasis:
 
     def __len__(self) -> int:
         return len(self.operators)
+
+    @functools.cached_property
+    def sign_rows(self) -> np.ndarray:
+        """The state's first support sign row, then each later one's half difference from it."""
+        signs = _word_signs(self.state.n)[:1 << (self.state.n - 1)][_support(self.state)]
+        rows = np.concatenate((signs[:1], (signs[1:] - signs[0]) // 2))
+        rows.setflags(write=False)
+        return rows
 
 
 def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -157,6 +165,12 @@ def _word_signs(n: int) -> np.ndarray:
     return chi
 
 
+@functools.cache
+def _candidate_keys(n: int) -> tuple[tuple[int, int], ...]:
+    """The ``(x, z)`` keys of ``candidate_words(n)``, in that order."""
+    return tuple(map(word_key, candidate_words(n)))
+
+
 def _support(v: StateVector) -> np.ndarray:
     """The pairs {k, ~k} above ``TOL_RANK`` in ``unit_scaled(v)``, an exact rescale."""
     check_qubit_count(v.n)
@@ -193,18 +207,18 @@ def eigen_basis(v: StateVector) -> EigenBasis:
     return EigenBasis(state=v, operators=operators, eigenvalues=eigenvalues)
 
 
-def _eigenvalues(v: StateVector, ops):
-    """Yield each operator's eigenvalue on v, or None where it does not fix v.
+def _eigenvalues(basis: EigenBasis, ops):
+    """Yield each operator's eigenvalue on ``basis.state``, or None where it does not fix it.
 
     The test of ``eigen_basis``, exact: sign rows differ by 0 or +-2, so the
     ``math.fsum`` (Shewchuk, DCG 18, 1997) of each half difference over c * 2^-e,
     in [-2, 2) so that no sum overflows, is zero exactly when the exact sum is.
     """
-    words = candidate_words(v.n)
-    signs = _word_signs(v.n)[:1 << (v.n - 1)][_support(v)]
-    rows = np.concatenate((signs[:1], (signs[1:] - signs[0]) // 2))
-    rests = [dict(op.terms()) for op in ops]  # what is left is not a candidate word
-    parts = np.array([[r.pop(w, 0j) for w in words] for r in rests]).view(float)
+    n, rows, keys = basis.state.n, basis.sign_rows, _candidate_keys(basis.state.n)
+    # what is left is not a candidate word; on another qubit count the letter
+    # tuples of terms() are the keys, and no (x, z) key equals one
+    rests = [op.keyed_terms() if op.n == n else dict(op.terms()) for op in ops]
+    parts = np.array([[r.pop(k, 0j) for k in keys] for r in rests]).view(float)
     exps = np.frexp(np.abs(parts).max(axis=1))[1] - 1
     terms = rows * np.ldexp(parts, -exps[:, None]).view(complex)[:, None]
     for rest, e, op_terms in zip(rests, exps.tolist(), terms.view(float).tolist()):
@@ -214,7 +228,7 @@ def _eigenvalues(v: StateVector, ops):
 
 def in_span(op: PauliSum, basis: EigenBasis) -> bool:
     """Whether op fixes ``basis.state``: lies in the span of its eigen-rows, exactly."""
-    return next(_eigenvalues(basis.state, [op])) is not None
+    return next(_eigenvalues(basis, [op])) is not None
 
 
 # -- the catalog of known rows ------------------------------------------------
@@ -235,8 +249,9 @@ def catalog_basis(state_id: str, coeffs=None) -> EigenBasis:
     if state_id not in _CATALOG_ROWS:
         raise ValueError(f"no catalog row for {state_id!r}; known rows: {STATE_IDS}")
     state = catalog_state(state_id, coeffs)
-    ops = _CATALOG_ROWS[state_id]()
-    return EigenBasis(state, ops, [g.real for g in _eigenvalues(state, ops)])
+    basis = EigenBasis(state, _CATALOG_ROWS[state_id](), [])
+    basis.eigenvalues.extend(g.real for g in _eigenvalues(basis, basis.operators))
+    return basis
 
 
 # -- operator identities ------------------------------------------------------

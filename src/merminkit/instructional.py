@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliSum, sigma
+from .pauli import PauliSum, parity_sign, sigma
 from . import eigenops
 
 _CHUNK = 1 << 18  # assignments processed per numpy block
@@ -112,8 +112,8 @@ class SolveReport:
     def witness_values(self) -> dict[str, list[int]]:
         """The products of all xi and of all eta values of each solution."""
         xi_bits = self.indices & ((1 << self.n) - 1)
-        return {"xi_product": _sign(xi_bits).tolist(),
-                "eta_product": _sign(self.indices >> self.n).tolist()}
+        return {"xi_product": parity_sign(xi_bits, self.n).tolist(),
+                "eta_product": parity_sign(self.indices >> self.n, self.n).tolist()}
 
 
 @dataclass
@@ -155,18 +155,11 @@ def _monomial_masks(expr: PauliSum) -> list[tuple[int, int]]:
             for coeff, letters in _monomials_of(expr)]
 
 
-def _sign(v):
-    """(-1) ** (number of set bits) of each non-negative int64, by XOR fold."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return 1 - 2 * (v & 1)
-
-
 def _values(monomials, indices: np.ndarray) -> np.ndarray:
     """Value of (coeff, mask) monomials at each assignment index."""
     total = np.zeros(len(indices), dtype=np.int64)
     for coeff, mask in monomials:
-        total += coeff * _sign(indices & mask)
+        total += coeff * parity_sign(indices & mask, mask.bit_length())
     return total
 
 

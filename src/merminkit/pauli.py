@@ -20,6 +20,7 @@ times a power of i counted by popcounts, and the word sends basis index
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -34,6 +35,25 @@ TOL_ALG = 1e-12
 # per-qubit code x | z << 1 of each letter; the map is its own inverse
 _CODE = (0, 1, 3, 2)
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+# (-1) ** popcount of every byte, read-only: the sign rule of the x/z form
+_BYTE_SIGNS = np.array([1 - 2 * (b.bit_count() & 1) for b in range(256)], dtype=np.int64)
+_BYTE_SIGNS.setflags(write=False)
+
+
+def parity_sign(v: np.ndarray, bits: int) -> np.ndarray:
+    """(-1) ** popcount of each int64 0 <= v < 2**bits: one table lookup per byte."""
+    sign = _BYTE_SIGNS[v if bits <= 8 else v & 0xFF]
+    for shift in range(8, bits, 8):
+        sign = sign * _BYTE_SIGNS[v >> shift & 0xFF]
+    return sign
+
+
+@functools.cache
+def _indices(n: int) -> np.ndarray:
+    """Read-only ``arange(2**n)``, the packed basis indices of n qubits."""
+    index = np.arange(1 << n)
+    index.setflags(write=False)
+    return index
 
 
 def word_key(letters: Iterable[int]) -> tuple[int, int]:
@@ -139,6 +159,10 @@ class PauliSum:
         return iter(sorted((_key_letters(key, self.n), coeff)
                            for key, coeff in self._terms.items()))
 
+    def keyed_terms(self) -> dict[tuple[int, int], complex]:
+        """A fresh ``(x, z) -> coeff`` dict of the terms, unsorted and letters-free."""
+        return dict(self._terms)
+
     def coefficient(self, letters: Iterable[int]) -> complex:
         return self._terms.get(word_key(letters), 0j)
 
@@ -219,13 +243,11 @@ class PauliSum:
         """Linear action on a state vector, term by term; no normalization."""
         if v.n != self.n:
             raise ValueError(f"qubit counts differ: {self.n} != {v.n}")
-        parity = np.zeros(1, dtype=bool)  # popcount parity of every index
-        for _ in range(self.n):
-            parity = np.concatenate([parity, ~parity])
-        index = np.arange(1 << self.n)
+        index = _indices(self.n)
+        minus = -v.amps
         out = np.zeros(1 << self.n, dtype=complex)
         for (x, z), coeff in self._terms.items():
-            amps = np.where(parity[index & z], -v.amps, v.amps)
+            amps = np.where(parity_sign(index & z, self.n) < 0, minus, v.amps)
             out[index ^ x] += coeff * _I_POW[(x & z).bit_count() % 4] * amps
         return StateVector(self.n, out)
 

@@ -89,12 +89,15 @@ def unit_scaled(v: StateVector) -> StateVector:
     amplitude needs no unrepresentable factor.
     """
     top = float(np.max(np.abs(v.amps)))
+    exp = math.frexp(top)[1]
     # a NaN or infinite part makes top non-finite, but so can finite parts that overflow
-    if not math.isfinite(top) and not np.isfinite(v.amps).all():
-        raise ValueError("state has a non-finite amplitude")
+    if not math.isfinite(top):
+        if not np.isfinite(v.amps).all():
+            raise ValueError("state has a non-finite amplitude")
+        exp = math.frexp(float(np.max(np.abs(v.amps * 0.5))))[1] + 1  # half cannot overflow
     if top == 0:
         raise ValueError("state is identically zero")
-    return StateVector(v.n, np.ldexp(v.amps.view(float), -math.frexp(top)[1]).view(complex))
+    return StateVector(v.n, np.ldexp(v.amps.view(float), -exp).view(complex))
 
 
 def check_qubit_count(n: int) -> None:

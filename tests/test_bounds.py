@@ -911,3 +911,24 @@ class TestUniformAscent:
 def test_vectors_of_the_wrong_shape_are_refused(make, pattern):
     with pytest.raises(ValueError, match=pattern):
         make()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("make, pattern", [
+    (lambda bad: bd.MeasurementSetting.uniform(3, (bad, 0.0, 0.0), (0.0, 1.0, 0.0)),
+     r"^x rows must be unit vectors, got norms "),
+    (lambda bad: bd.MeasurementSetting.uniform(4, (0.0, 0.0, 1.0), (0.0, bad, 0.0)),
+     r"^y rows must be unit vectors, got norms "),
+    (lambda bad: bd.restricted_mu("v31", (bad, 0.0, 0.0), (0.0, 1.0, 0.0)),
+     "^x must be a unit vector$"),
+    (lambda bad: bd.restricted_mu("v42", (0.0, 0.0, 1.0), (0.0, 0.0, bad)),
+     "^y must be a unit vector$"),
+    (lambda bad: bd.collinear_mu("v31", 1, bad, 0.0), r"^x3 and y3 must lie in \[-1, 1\]$"),
+    (lambda bad: bd.collinear_mu("v41", -1, np.zeros(3), np.array([0.5, bad, 0.0])),
+     r"^x3 and y3 must lie in \[-1, 1\]$"),
+], ids=["setting-x", "setting-y", "restricted-x", "restricted-y", "collinear-scalar",
+        "collinear-array"])
+def test_non_finite_entries_are_refused_in_one_line(make, pattern, bad):
+    with pytest.raises(ValueError, match=pattern) as info:
+        make(bad)
+    assert "\n" not in str(info.value)

@@ -351,6 +351,18 @@ def test_eigenops_output_does_not_depend_on_scale(capsys, scale):
     assert json.loads(capsys.readouterr().out) == reference
 
 
+def test_eigenops_on_a_coefficient_whose_modulus_overflows(capsys):
+    # the same state times 2**-1000 gives the same basis
+    assert cli.main(["eigenops", "--state", "v31~", "--coeffs",
+                     f"{(1.7e308 + 1.7e308j) * 2.0 ** -1000},{2.0 ** -1000},{2.0 ** -1000}"]) == 0
+    reference = json.loads(capsys.readouterr().out)
+    assert cli.main(["eigenops", "--state", "v31~", "--coeffs", "1.7e308+1.7e308i,1,1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dimension"] == reference["dimension"] == 4
+    assert (doc["operators"], doc["eigenvalues"]) == (reference["operators"],
+                                                      reference["eigenvalues"])
+
+
 def test_version_is_looked_up_only_for_the_flag(monkeypatch, capsys):
     from importlib import metadata
 

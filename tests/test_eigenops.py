@@ -1,5 +1,6 @@
 """Tests for eigenoperator discovery, the catalog rows, and the identities."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -490,3 +491,23 @@ def test_eigen_basis_refuses_an_unsupported_qubit_count(n):
     amps[0] = amps[-1] = 1
     with pytest.raises(ValueError, match="unsupported qubit count"):
         eo.eigen_basis(StateVector(n, amps))
+
+
+@pytest.mark.parametrize("state_id", eo.STATE_IDS)
+def test_in_span_on_a_hand_built_basis_matches_the_solved_basis(state_id):
+    state = eo.catalog_state(state_id)
+    hand, solved = eo.EigenBasis(state, [], []), eo.eigen_basis(state)
+    # every catalog op, those of the other qubit count too
+    ops = [op for sid in eo.STATE_IDS for op in eo.catalog_basis(sid).operators]
+    verdicts = [eo.in_span(op, hand) for op in ops]
+    assert verdicts == [eo.in_span(op, solved) for op in ops]
+    assert 0 < sum(verdicts) < len(ops)
+
+
+def test_basis_is_frozen_and_caches_read_only_sign_rows():
+    basis = eo.eigen_basis(eo.catalog_state("v42~"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.state = eo.catalog_state("u4")
+    rows = basis.sign_rows
+    assert basis.sign_rows is rows and not rows.flags.writeable
+    assert rows.shape == (3, 8) and set(rows[1:].ravel().tolist()) <= {-1, 0, 1}

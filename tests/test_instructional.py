@@ -366,6 +366,27 @@ class TestIndexLayout:
             satisfiable += bool(expected)
         assert satisfiable >= 30
 
+    def test_solve_matches_hand_enumeration_on_two_byte_indices(self):
+        # 2n = 10 and 12 index bits, so every sign reads two bytes of the table
+        rng = np.random.default_rng(20261019)
+        satisfiable = 0
+        for n in (5, 5, 6, 6):
+            equations = []
+            for _ in range(2):
+                expr = random_sum(rng, n)
+                a = ins.Assignment.from_index(int(rng.integers(0, 4 ** n)), n)
+                equations.append(ins.Equation(expr, hand_value(expr, a)))
+            system = ins.InstructionalSystem(n, equations)
+            expected = oracle_solutions(system)
+            report = ins.solve(system)
+            assert report.solutions == expected
+            assert report.witness_values == {
+                "xi_product": [int(np.prod(a.xi)) for a in expected],
+                "eta_product": [int(np.prod(a.eta)) for a in expected],
+            }
+            satisfiable += bool(expected)
+        assert satisfiable >= 2
+
     def test_mask_bits_follow_from_index(self):
         # s(1,2) multiplies xi_1 (bit 0) and eta_2 (bit n + 1 = 3)
         report = ins.solve(ins.InstructionalSystem(2, [ins.Equation(sigma(1, 2), -1)]))

@@ -13,6 +13,7 @@ from merminkit.pauli import (
     PauliSum,
     PauliWord,
     identity,
+    parity_sign,
     parse_sum,
     render_sum,
     sigma,
@@ -437,3 +438,29 @@ def test_render_sum_round_trips_seeded_complex_sums():
 def test_refusals_without_a_qubit_count(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+# -- the byte table of parity signs -------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [3, 8, 9, 16])
+def test_parity_sign_on_every_value_below_two_to_the_bits(bits):
+    got = parity_sign(np.arange(1 << bits, dtype=np.int64), bits)
+    assert got.dtype == np.int64
+    assert got.tolist() == [(-1) ** bin(k).count("1") for k in range(1 << bits)]
+
+
+def test_parity_sign_on_seeded_four_byte_values():
+    # solve refuses n > 16, so its indices and masks stay below 2**32
+    values = np.random.default_rng(20261019).integers(0, 1 << 32, 20000, dtype=np.int64)
+    assert parity_sign(values, 32).tolist() == [
+        (-1) ** bin(k).count("1") for k in values.tolist()]
+
+
+def test_apply_on_nine_qubits_matches_the_kronecker_oracle():
+    # nine qubits give a second index byte, read by a second table lookup
+    rng = np.random.default_rng(20261019)
+    letters = [tuple(int(j) for j in rng.integers(0, 4, 9)) for _ in range(3)]
+    s = PauliSum.from_words(PauliWord(w, c) for w, c in zip(letters, (1.0, -2j, 0.5 + 1j)))
+    v = StateVector(9, rng.standard_normal(512) + 1j * rng.standard_normal(512))
+    assert np.allclose(s.apply(v).amps, sum_matrix(s) @ v.amps, rtol=0, atol=1e-12)

@@ -221,6 +221,19 @@ class TestUnitScaled:
             unit_scaled(StateVector(3, np.zeros(8)))
 
 
+def test_finite_parts_whose_modulus_overflows_scale_like_a_smaller_copy(rng):
+    coeffs = [1.7e308 + 1.7e308j, 1, 1]  # the modulus of the first is beyond the float range
+    big = sym_dicke(3, 1, coeffs)
+    small = sym_dicke(3, 1, [c * 2.0 ** -1000 for c in coeffs])
+    assert unit_scaled(big).amps.tobytes() == unit_scaled(small).amps.tobytes()
+    assert len(eigenops.eigen_basis(big)) == len(eigenops.eigen_basis(small)) == 4
+    for _ in range(5):
+        x, y = (v / np.linalg.norm(v, axis=1, keepdims=True)
+                for v in rng.standard_normal((2, 3, 3)))
+        setting = bounds.MeasurementSetting(x, y)
+        assert bounds.expectation(big, setting) == bounds.expectation(small, setting)
+
+
 @pytest.mark.parametrize("amp", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)],
                          ids=["nan", "inf-imag", "minus-inf-real"])
 @pytest.mark.parametrize("call", [

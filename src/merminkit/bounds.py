@@ -59,8 +59,8 @@ def _as_unit_rows(vectors, n: int, label: str) -> np.ndarray:
     arr = np.asarray(vectors, dtype=float)
     if arr.shape != (n, 3):
         raise ValueError(f"{label} must have shape ({n}, 3), got {arr.shape}")
-    norms = np.linalg.norm(arr, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= TOL_UNIT):  # NaN fails too
+    norms = np.sqrt(np.add.reduce(arr * arr, axis=1))  # np.linalg.norm's sum, bit for bit
+    if not (np.abs(norms - 1.0) <= TOL_UNIT).all():  # NaN fails too
         raise ValueError(f"{label} rows must be unit vectors, got norms {norms}")
     return arr
 
@@ -84,8 +84,8 @@ class MeasurementSetting:
     @classmethod
     def uniform(cls, n: int, x, y) -> "MeasurementSetting":
         """One (x, y) pair shared by all qubits."""
-        return cls(np.tile(np.asarray(x, dtype=float), (n, 1)),
-                   np.tile(np.asarray(y, dtype=float), (n, 1)))
+        return cls(np.asarray(x, dtype=float)[None].repeat(n, 0),
+                   np.asarray(y, dtype=float)[None].repeat(n, 0))
 
     @classmethod
     def pauli12(cls, n: int) -> "MeasurementSetting":
@@ -121,30 +121,43 @@ def mermin_operator(n: int, setting: MeasurementSetting) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the signed sum of X/Y tensor words."""
     if setting.n != n:
         raise ValueError(f"setting is for {setting.n} qubits, expected {n}")
-    # factors[a, p] is qubit a's X (p = 0) or Y (p = 1), made as ``observable`` makes it
-    factors = np.stack((setting.x, setting.y), 1) @ _PAULI.reshape(3, 4)
-    factors = factors.reshape(n, 2, 2, 2)
-    signs, last_letters = _mermin_layout(n)
-    # every word of the first n - 1 qubits, each entry a left-to-right product
-    # as in a chain of Kronecker products, the words in the order of product()
-    words = factors[0]
+    # rows 2a and 2a + 1 are qubit a's X and Y, each made as ``observable`` makes it
+    rows = np.empty((2 * n, 3), dtype=complex)
+    rows[0::2], rows[1::2] = setting.x, setting.y
+    factors = (rows @ _PAULI.reshape(3, 4)).reshape(n, 8)
+    signs, head, last = _mermin_layout(n)
+    # every product of one entry per qubit but the last, left to right as in np.kron
+    prefix = factors[0]
     for a in range(1, n - 1):
-        words = (words[:, None, :, None, :, None]
-                 * factors[a][None, :, None, :, None, :]).reshape((2 << a,) * 3)
-    # even words only: the last letter is the parity of the ones before it
-    last = factors[n - 1][last_letters]
-    words = words[:, :, None, :, None] * last[:, None, :, None, :]
-    signed = signs * words.reshape(len(signs), 1 << n, -1)
-    return np.add.reduce(signed, axis=0)
+        prefix = (prefix[:, None] * factors[a]).ravel()
+    words = prefix[head]
+    words *= factors[n - 1][last]  # in place: one array of words at a time
+    np.multiply(signs, words, out=words)
+    return np.add.reduce(words, axis=0)
 
 
 @cache
-def _mermin_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signs, shaped (-1, 1, 1), and last letters of ``mermin_terms(n)``, read-only."""
+def _mermin_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signs, shaped (-1, 1, 1), and the gather tables of ``mermin_terms(n)``, read-only.
+
+    Qubit a's 8 factor entries are 4 p + 2 r + c for letter p, row bit r and
+    column bit c.  Entry (r, c) of even word w is the Kronecker-ordered product
+    ``head[w, r, c]`` of one entry per qubit but the last, times the last
+    qubit's entry ``last[w, r, c]``: w runs over the letters of the first
+    n - 1 qubits in the order of product(), and the last letter is their parity.
+    """
     signs, patterns = zip(*mermin_terms(n))
-    signs, last = np.reshape(signs, (-1, 1, 1)), np.array([p[-1] for p in patterns])
-    signs.flags.writeable = last.flags.writeable = False
-    return signs, last
+    m = n - 1
+    # digits (p r c) per qubit regrouped as letters, row bits, column bits; the
+    # last qubit's row and column bits are the lowest of each index
+    head = np.arange(8 ** m).reshape((2, 2, 2) * m).transpose(
+        [i for k in range(3) for i in range(k, 3 * m, 3)])
+    last = np.arange(8).reshape(2, 2, 2)[[p[-1] for p in patterns]]
+    head, last = (t.reshape(1 << m, 1 << n, 1 << n) for t in np.broadcast_arrays(
+        head.reshape(1 << m, 1 << m, 1, 1 << m, 1), last[:, None, :, None, :]))
+    signs = np.reshape(signs, (-1, 1, 1))
+    signs.flags.writeable = head.flags.writeable = last.flags.writeable = False
+    return signs, head, last
 
 
 def expectation(v: StateVector, setting: MeasurementSetting) -> float:
@@ -593,10 +606,10 @@ def restricted_mu(state_id: str, x, y) -> float:
     for label, vec in (("x", x), ("y", y)):
         if vec.shape != (3,):
             raise ValueError(f"{label} must be a 3-vector")
-        if not abs(np.linalg.norm(vec) - 1.0) <= TOL_UNIT:  # NaN fails too
+        if not abs(math.sqrt(vec.dot(vec)) - 1.0) <= TOL_UNIT:  # np.linalg.norm's; NaN fails
             raise ValueError(f"{label} must be a unit vector")
-    d = float(x[0] * y[0] + x[1] * y[1])
-    return _mu_poly(state_id, float(x[2]), float(y[2]), d)
+    (x1, x2, x3), (y1, y2, y3) = x.tolist(), y.tolist()
+    return _mu_poly(state_id, x3, y3, x1 * y1 + x2 * y2)
 
 
 def collinear_mu(state_id: str, sign: int, x3, y3):

@@ -213,17 +213,16 @@ def _eigenvalues(basis: EigenBasis, ops):
     The test of ``eigen_basis``, exact: sign rows differ by 0 or +-2, so the
     ``math.fsum`` (Shewchuk, DCG 18, 1997) of each half difference over c * 2^-e,
     in [-2, 2) so that no sum overflows, is zero exactly when the exact sum is.
+    An operator of another qubit count, the zero operator too, fixes no state.
     """
     n, rows, keys = basis.state.n, basis.sign_rows, _candidate_keys(basis.state.n)
-    # what is left is not a candidate word; on another qubit count the letter
-    # tuples of terms() are the keys, and no (x, z) key equals one
-    rests = [op.keyed_terms() if op.n == n else dict(op.terms()) for op in ops]
+    rests = [op.keyed_terms() for op in ops]  # what is left is not a candidate word
     parts = np.array([[r.pop(k, 0j) for k in keys] for r in rests]).view(float)
     exps = np.frexp(np.abs(parts).max(axis=1))[1] - 1
     terms = rows * np.ldexp(parts, -exps[:, None]).view(complex)[:, None]
-    for rest, e, op_terms in zip(rests, exps.tolist(), terms.view(float).tolist()):
+    for op, rest, e, op_terms in zip(ops, rests, exps.tolist(), terms.view(float).tolist()):
         sums = [complex(math.fsum(row[::2]), math.fsum(row[1::2])) for row in op_terms]
-        yield None if rest or any(sums[1:]) else sums[0] * 2.0 ** e
+        yield None if op.n != n or rest or any(sums[1:]) else sums[0] * 2.0 ** e
 
 
 def in_span(op: PauliSum, basis: EigenBasis) -> bool:

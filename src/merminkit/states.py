@@ -50,7 +50,7 @@ class StateVector:
 
     @property
     def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.amps, self.amps)))
+        return float(np.vdot(self.amps, self.amps).real)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.amps) <= tol))
@@ -88,7 +88,7 @@ def unit_scaled(v: StateVector) -> StateVector:
     ``ldexp`` scales the real and imaginary parts, so a subnormal largest
     amplitude needs no unrepresentable factor.
     """
-    top = float(np.max(np.abs(v.amps)))
+    top = float(np.abs(v.amps).max())
     exp = math.frexp(top)[1]
     # a NaN or infinite part makes top non-finite, but so can finite parts that overflow
     if not math.isfinite(top):
@@ -97,6 +97,8 @@ def unit_scaled(v: StateVector) -> StateVector:
         exp = math.frexp(float(np.max(np.abs(v.amps * 0.5))))[1] + 1  # half cannot overflow
     if top == 0:
         raise ValueError("state is identically zero")
+    if exp == 0:  # already in range, and a StateVector is immutable
+        return v
     return StateVector(v.n, np.ldexp(v.amps.view(float), -exp).view(complex))
 
 

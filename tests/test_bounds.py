@@ -932,3 +932,217 @@ def test_non_finite_entries_are_refused_in_one_line(make, pattern, bad):
     with pytest.raises(ValueError, match=pattern) as info:
         make(bad)
     assert "\n" not in str(info.value)
+
+
+# -- the broadcast-chain oracle of the parent revision, copied literally ---------
+
+
+def broadcast_mermin_operator(n, setting):
+    """The broadcast-product build that the gather table replaced, as it was."""
+    if setting.n != n:
+        raise ValueError(f"setting is for {setting.n} qubits, expected {n}")
+    factors = np.stack((setting.x, setting.y), 1) @ bd._PAULI.reshape(3, 4)
+    factors = factors.reshape(n, 2, 2, 2)
+    signs, patterns = zip(*bd.mermin_terms(n))
+    signs, last_letters = np.reshape(signs, (-1, 1, 1)), np.array([p[-1] for p in patterns])
+    words = factors[0]
+    for a in range(1, n - 1):
+        words = (words[:, None, :, None, :, None]
+                 * factors[a][None, :, None, :, None, :]).reshape((2 << a,) * 3)
+    last = factors[n - 1][last_letters]
+    words = words[:, :, None, :, None] * last[:, None, :, None, :]
+    signed = signs * words.reshape(len(signs), 1 << n, -1)
+    return np.add.reduce(signed, axis=0)
+
+
+def linalg_unit_rows(vectors, n, label):
+    arr = np.asarray(vectors, dtype=float)
+    if arr.shape != (n, 3):
+        raise ValueError(f"{label} must have shape ({n}, 3), got {arr.shape}")
+    norms = np.linalg.norm(arr, axis=1)
+    if not np.all(np.abs(norms - 1.0) <= bd.TOL_UNIT):
+        raise ValueError(f"{label} rows must be unit vectors, got norms {norms}")
+    return arr
+
+
+def tiled_uniform_rows(n, x, y):
+    """The rows the parent's ``MeasurementSetting.uniform`` checked, or its error."""
+    x, y = (np.tile(np.asarray(v, dtype=float), (n, 1)) for v in (x, y))
+    return linalg_unit_rows(x, len(x), "x"), linalg_unit_rows(y, len(x), "y")
+
+
+def linalg_expectation(v, setting):
+    top = float(np.max(np.abs(v.amps)))
+    u = np.ldexp(v.amps.view(float), -math.frexp(top)[1]).view(complex)
+    m = broadcast_mermin_operator(v.n, setting)
+    value = complex(np.vdot(u, m @ u)) / float(np.real(np.vdot(u, u)))
+    assert abs(value.imag) <= 1e-9
+    return float(value.real)
+
+
+def linalg_restricted_mu(state_id, x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    for label, vec in (("x", x), ("y", y)):
+        if vec.shape != (3,):
+            raise ValueError(f"{label} must be a 3-vector")
+        if not abs(np.linalg.norm(vec) - 1.0) <= bd.TOL_UNIT:
+            raise ValueError(f"{label} must be a unit vector")
+    d = float(x[0] * y[0] + x[1] * y[1])
+    return bd._mu_poly(state_id, float(x[2]), float(y[2]), d)
+
+
+def float_bytes(value):
+    return np.float64(value).tobytes()  # tells -0.0 from 0.0
+
+
+def axis_rows(rng, n):
+    """n rows of +-e_j whose other two entries are 0.0 or -0.0, at random."""
+    rows = rng.choice([0.0, -0.0], (n, 3))
+    rows[np.arange(n), rng.integers(0, 3, n)] = rng.choice([1.0, -1.0], n)
+    return rows
+
+
+class TestGatherTableBitIdentity:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_seeded_settings(self, n):
+        rng = np.random.default_rng(9900 + n)
+        for _ in range(200):
+            setting = random_setting(n, rng)
+            got = bd.mermin_operator(n, setting)
+            assert got.tobytes() == broadcast_mermin_operator(n, setting).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_axis_aligned_settings_with_signed_zeros(self, n):
+        rng = np.random.default_rng(9910 + n)
+        for _ in range(200):
+            setting = bd.MeasurementSetting(axis_rows(rng, n), axis_rows(rng, n))
+            got = bd.mermin_operator(n, setting)
+            assert got.tobytes() == broadcast_mermin_operator(n, setting).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_layout_is_read_only(self, n):
+        for table in bd._mermin_layout(n):
+            assert not table.flags.writeable
+
+    @pytest.mark.parametrize("state_id", ["u3", "u4", "v31", "v41", "v42"])
+    def test_expectation_on_seeded_uniform_settings(self, state_id):
+        v = bd.bound_state(state_id)
+        rng = np.random.default_rng(9920)
+        for _ in range(60):
+            x, y = random_unit_vector(rng), random_unit_vector(rng)
+            setting = bd.MeasurementSetting.uniform(v.n, x, y)
+            assert setting.x.tobytes() == tiled_uniform_rows(v.n, x, y)[0].tobytes()
+            assert float_bytes(bd.expectation(v, setting)) == float_bytes(
+                linalg_expectation(v, setting))
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (4, 2)])
+    def test_expectation_on_weighted_states(self, n, m):
+        rng = np.random.default_rng(9930 + 10 * n + m)
+        for _ in range(20):
+            v = sym_dicke(n, m, random_nonzero_coeffs(rng, sym_coeff_count(n, m)))
+            setting = random_setting(n, rng)
+            assert float_bytes(bd.expectation(v, setting)) == float_bytes(
+                linalg_expectation(v, setting))
+
+    @pytest.mark.parametrize("state_id", bd.CLOSED_FORM_IDS)
+    def test_restricted_mu_on_seeded_settings(self, state_id):
+        rng = np.random.default_rng(9940)
+        for _ in range(200):
+            x, y = random_unit_vector(rng), random_unit_vector(rng)
+            for a, b in ((x, y), (axis_rows(rng, 1)[0], y), (list(x), tuple(y))):
+                assert float_bytes(bd.restricted_mu(state_id, a, b)) == float_bytes(
+                    linalg_restricted_mu(state_id, a, b))
+
+
+def refusal(make):
+    """The one-line ValueError message of ``make()``, or None if it returns."""
+    try:
+        make()
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+        return str(exc)
+    return None
+
+
+UNIT = (0.0, 0.6, 0.8)
+BAD_VECTORS = {
+    "nan": (math.nan, 0.0, 1.0),
+    "inf": (0.0, math.inf, 0.0),
+    "minus-inf": (0.0, 0.0, -math.inf),
+    "shape-2": (1.0, 0.0),
+    "shape-1x3": ((0.0, 0.0, 1.0),),
+    "long": (0.6, 0.8, 1e-4),
+    "short": (0.6, 0.8 - 1e-9, 0.0),
+    "zero": (0.0, 0.0, 0.0),
+}
+
+
+class TestLeanUnitChecks:
+    @pytest.mark.parametrize("bad", BAD_VECTORS, ids=list(BAD_VECTORS))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_uniform_refuses_as_the_tiled_rows_did(self, n, bad):
+        vec = BAD_VECTORS[bad]
+        for x, y in ((vec, UNIT), (UNIT, vec)):
+            got = refusal(lambda: bd.MeasurementSetting.uniform(n, x, y))
+            if bad == "shape-1x3":
+                # np.tile flattened a (1, 3) row into (n, 3); the rows are (n, 1, 3) now
+                label = "x" if x is vec else "y"
+                assert got == f"{label} must have shape ({n}, 3), got ({n}, 1, 3)"
+            else:
+                assert got is not None
+                assert got == refusal(lambda: tiled_uniform_rows(n, x, y))
+
+    @pytest.mark.parametrize("bad", BAD_VECTORS, ids=list(BAD_VECTORS))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_setting_refuses_as_linalg_norm_did(self, n, bad):
+        vec, rows = np.asarray(BAD_VECTORS[bad]), np.array([UNIT] * n)
+        if vec.shape == (3,):
+            vec = np.concatenate((rows[1:], vec[None]))  # the last row is bad
+        for x, y in ((vec, rows), (rows, vec)):
+            got = refusal(lambda: bd.MeasurementSetting(x, y))
+            assert got is not None
+            m = len(x)
+            assert got == refusal(lambda: (linalg_unit_rows(x, m, "x"),
+                                           linalg_unit_rows(y, m, "y")))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_of_the_wrong_width_are_refused(self, n):
+        rows, short = np.array([UNIT] * n), np.zeros((n, 2))
+        assert refusal(lambda: bd.MeasurementSetting(short, rows)) == (
+            f"x must have shape ({n}, 3), got ({n}, 2)")
+        assert refusal(lambda: bd.MeasurementSetting(rows, short)) == (
+            f"y must have shape ({n}, 3), got ({n}, 2)")
+
+    @pytest.mark.parametrize("bad", BAD_VECTORS, ids=list(BAD_VECTORS))
+    def test_restricted_mu_refuses_as_linalg_norm_did(self, bad):
+        vec = BAD_VECTORS[bad]
+        for x, y in ((vec, UNIT), (UNIT, vec)):
+            got = refusal(lambda: bd.restricted_mu("v41", x, y))
+            assert got is not None
+            assert got == refusal(lambda: linalg_restricted_mu("v41", x, y))
+
+    def test_decisions_at_the_tolerance_match_linalg_norm(self):
+        rng = np.random.default_rng(9950)
+        directions = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])]
+        directions += [random_unit_vector(rng) for _ in range(6)]
+        verdicts = set()
+        for edge in (1.0 - bd.TOL_UNIT, 1.0 + bd.TOL_UNIT):
+            scales = [edge]
+            for _ in range(3):
+                scales = [np.nextafter(scales[0], 0.0), *scales, np.nextafter(scales[-1], 2.0)]
+            for u in directions:
+                for scale in scales:
+                    vec = u * scale
+                    expected = abs(np.linalg.norm(vec) - 1.0) <= bd.TOL_UNIT
+                    verdicts.add(bool(expected))
+                    assert (refusal(lambda: bd.restricted_mu("v31", vec, UNIT))
+                            is None) == expected
+                    rows = np.array([UNIT, vec, UNIT])
+                    row_ok = bool(np.all(
+                        np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= bd.TOL_UNIT))
+                    assert (refusal(lambda: bd.MeasurementSetting(rows, rows))
+                            is None) == row_ok
+                    assert (refusal(lambda: bd.MeasurementSetting.uniform(3, vec, UNIT))
+                            is None) == row_ok
+        assert verdicts == {True, False}  # the grid straddles the tolerance

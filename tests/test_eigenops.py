@@ -511,3 +511,15 @@ def test_basis_is_frozen_and_caches_read_only_sign_rows():
     rows = basis.sign_rows
     assert basis.sign_rows is rows and not rows.flags.writeable
     assert rows.shape == (3, 8) and set(rows[1:].ravel().tolist()) <= {-1, 0, 1}
+
+
+@pytest.mark.parametrize("state_id", eo.STATE_IDS)
+def test_operators_of_the_other_qubit_count_are_never_in_span(state_id):
+    n = eo.catalog_state(state_id).n
+    other = 7 - n  # 3 <-> 4
+    ops = [PauliSum.zero(other), sigma(*(1,) * other), sigma(*(2,) * other),
+           2.5 * sigma(*(1,) * other) - sigma(*(2,) * other)]
+    for basis in (eo.eigen_basis(eo.catalog_state(state_id)), eo.catalog_basis(state_id)):
+        assert [eo.in_span(op, basis) for op in ops] == [False] * len(ops)
+        # the zero operator of the state's own qubit count fixes it, at eigenvalue 0
+        assert eo.in_span(PauliSum.zero(n), basis)

@@ -220,6 +220,27 @@ class TestUnitScaled:
         with pytest.raises(ValueError, match="identically zero"):
             unit_scaled(StateVector(3, np.zeros(8)))
 
+    @pytest.mark.parametrize("state_id", CATALOG_IDS)
+    def test_a_state_in_range_is_returned_itself(self, state_id):
+        v = catalog_state(state_id)  # largest amplitude 1, so halved once
+        u = unit_scaled(v)
+        assert u is not v
+        assert u.amps.tobytes() == (v.amps * 0.5).tobytes()
+        assert unit_scaled(u) is u
+        for factor in (0.5, 0.75, 0.999):
+            w = StateVector(v.n, v.amps * factor)
+            assert unit_scaled(w) is w
+
+    @pytest.mark.parametrize("power", [-1000, -600, -1, 1, 3, 600, 1023])
+    def test_power_of_two_scaled_states_get_a_fresh_equal_copy(self, power, rng):
+        parts = rng.uniform(0.25, 0.6, 16) * rng.choice([-1.0, 1.0], 16)
+        parts[:2] = 0.875, 0.0  # the largest modulus, in range; all parts stay normal
+        u = StateVector(3, parts.view(complex))
+        v = StateVector(3, np.ldexp(parts, power).view(complex))
+        got = unit_scaled(v)
+        assert got is not v and got is not u
+        assert got.amps.tobytes() == u.amps.tobytes()
+
 
 def test_finite_parts_whose_modulus_overflows_scale_like_a_smaller_copy(rng):
     coeffs = [1.7e308 + 1.7e308j, 1, 1]  # the modulus of the first is beyond the float range

@@ -84,8 +84,8 @@ class MeasurementSetting:
     @classmethod
     def uniform(cls, n: int, x, y) -> "MeasurementSetting":
         """One (x, y) pair shared by all qubits."""
-        return cls(np.asarray(x, dtype=float)[None].repeat(n, 0),
-                   np.asarray(y, dtype=float)[None].repeat(n, 0))
+        return cls(np.asarray(x, dtype=float).reshape(1, -1).repeat(n, 0),
+                   np.asarray(y, dtype=float).reshape(1, -1).repeat(n, 0))
 
     @classmethod
     def pauli12(cls, n: int) -> "MeasurementSetting":

@@ -97,8 +97,6 @@ def unit_scaled(v: StateVector) -> StateVector:
         exp = math.frexp(float(np.max(np.abs(v.amps * 0.5))))[1] + 1  # half cannot overflow
     if top == 0:
         raise ValueError("state is identically zero")
-    if exp == 0:  # already in range, and a StateVector is immutable
-        return v
     return StateVector(v.n, np.ldexp(v.amps.view(float), -exp).view(complex))
 
 

@@ -1085,13 +1085,15 @@ class TestLeanUnitChecks:
         vec = BAD_VECTORS[bad]
         for x, y in ((vec, UNIT), (UNIT, vec)):
             got = refusal(lambda: bd.MeasurementSetting.uniform(n, x, y))
-            if bad == "shape-1x3":
-                # np.tile flattened a (1, 3) row into (n, 3); the rows are (n, 1, 3) now
-                label = "x" if x is vec else "y"
-                assert got == f"{label} must have shape ({n}, 3), got ({n}, 1, 3)"
+            assert got == refusal(lambda: tiled_uniform_rows(n, x, y))
+            if bad == "shape-1x3":  # np.tile flattens a (1, 3) row into (n, 3) rows
+                assert got is None
+                setting = bd.MeasurementSetting.uniform(n, x, y)
+                tx, ty = tiled_uniform_rows(n, x, y)
+                assert setting.x.tobytes() == tx.tobytes()
+                assert setting.y.tobytes() == ty.tobytes()
             else:
                 assert got is not None
-                assert got == refusal(lambda: tiled_uniform_rows(n, x, y))
 
     @pytest.mark.parametrize("bad", BAD_VECTORS, ids=list(BAD_VECTORS))
     @pytest.mark.parametrize("n", [3, 4])

@@ -56,18 +56,26 @@ W_OPT_Y3 = math.sqrt(5.0 * math.sqrt(41.0) - 27.0) / math.sqrt(6.0)
 
 
 def _as_unit_rows(vectors, n: int, label: str) -> np.ndarray:
-    arr = np.asarray(vectors, dtype=float)
+    """A private, read-only float copy of ``vectors``, checked to be n unit 3-vectors."""
+    arr = np.array(vectors, dtype=float)
     if arr.shape != (n, 3):
         raise ValueError(f"{label} must have shape ({n}, 3), got {arr.shape}")
-    norms = np.sqrt(np.add.reduce(arr * arr, axis=1))  # np.linalg.norm's sum, bit for bit
-    if not (np.abs(norms - 1.0) <= TOL_UNIT).all():  # NaN fails too
-        raise ValueError(f"{label} rows must be unit vectors, got norms {norms}")
+    # summed as np.add.reduce sums 3 entries, so np.linalg.norm's norm, bit for bit
+    for a, b, c in arr.tolist():
+        if not abs(math.sqrt((a * a + b * b) + c * c) - 1.0) <= TOL_UNIT:  # NaN fails too
+            norms = np.sqrt(np.add.reduce(arr * arr, axis=1))
+            raise ValueError(f"{label} rows must be unit vectors, got norms {norms}")
+    arr.flags.writeable = False
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSetting:
-    """Per-qubit unit 3-vectors defining the dichotomic observables X_a, Y_a."""
+    """Per-qubit unit 3-vectors defining the dichotomic observables X_a, Y_a.
+
+    ``x`` and ``y`` are private read-only (n, 3) copies of the rows given, so
+    changing the caller's arrays later leaves the checked setting as it was.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -125,26 +133,27 @@ def mermin_operator(n: int, setting: MeasurementSetting) -> np.ndarray:
     rows = np.empty((2 * n, 3), dtype=complex)
     rows[0::2], rows[1::2] = setting.x, setting.y
     factors = (rows @ _PAULI.reshape(3, 4)).reshape(n, 8)
-    signs, head, last = _mermin_layout(n)
+    head, last = _mermin_layout(n)
     # every product of one entry per qubit but the last, left to right as in np.kron
     prefix = factors[0]
     for a in range(1, n - 1):
         prefix = (prefix[:, None] * factors[a]).ravel()
     words = prefix[head]
-    words *= factors[n - 1][last]  # in place: one array of words at a time
-    np.multiply(signs, words, out=words)
+    words *= np.concatenate((factors[n - 1], -factors[n - 1]))[last]  # in place
     return np.add.reduce(words, axis=0)
 
 
 @cache
-def _mermin_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signs, shaped (-1, 1, 1), and the gather tables of ``mermin_terms(n)``, read-only.
+def _mermin_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only gather tables of the signed words of ``mermin_terms(n)``.
 
     Qubit a's 8 factor entries are 4 p + 2 r + c for letter p, row bit r and
     column bit c.  Entry (r, c) of even word w is the Kronecker-ordered product
-    ``head[w, r, c]`` of one entry per qubit but the last, times the last
-    qubit's entry ``last[w, r, c]``: w runs over the letters of the first
-    n - 1 qubits in the order of product(), and the last letter is their parity.
+    ``head[w, r, c]`` of one entry per qubit but the last, times entry
+    ``last[w, r, c]`` of the last qubit's 8 entries followed by their 8
+    negations: a word of sign -1 reads the negations.  w runs over the letters
+    of the first n - 1 qubits in the order of product(), and the last letter is
+    their parity.
     """
     signs, patterns = zip(*mermin_terms(n))
     m = n - 1
@@ -152,12 +161,12 @@ def _mermin_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # last qubit's row and column bits are the lowest of each index
     head = np.arange(8 ** m).reshape((2, 2, 2) * m).transpose(
         [i for k in range(3) for i in range(k, 3 * m, 3)])
-    last = np.arange(8).reshape(2, 2, 2)[[p[-1] for p in patterns]]
+    last = np.arange(16).reshape(2, 2, 2, 2)[[(1 - s) // 2 for s in signs],
+                                             [p[-1] for p in patterns]]
     head, last = (t.reshape(1 << m, 1 << n, 1 << n) for t in np.broadcast_arrays(
         head.reshape(1 << m, 1 << m, 1, 1 << m, 1), last[:, None, :, None, :]))
-    signs = np.reshape(signs, (-1, 1, 1))
-    signs.flags.writeable = head.flags.writeable = last.flags.writeable = False
-    return signs, head, last
+    head.flags.writeable = last.flags.writeable = False
+    return head, last
 
 
 def expectation(v: StateVector, setting: MeasurementSetting) -> float:

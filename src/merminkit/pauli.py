@@ -240,15 +240,28 @@ class PauliSum:
         return PauliSum(self.n, acc).is_zero()
 
     def apply(self, v: StateVector) -> StateVector:
-        """Linear action on a state vector, term by term; no normalization."""
+        """Linear action on a state vector, term by term; no normalization.
+
+        A term whose phase is real or imaginary scales the real and imaginary
+        parts as floats, swapped for an imaginary one, so that no 0 * inf
+        forms: an infinite amplitude keeps a zero part zero.
+        """
         if v.n != self.n:
             raise ValueError(f"qubit counts differ: {self.n} != {v.n}")
         index = _indices(self.n)
-        minus = -v.amps
+        pairs = v.amps.view(float).reshape(-1, 2)
         out = np.zeros(1 << self.n, dtype=complex)
         for (x, z), coeff in self._terms.items():
-            amps = np.where(parity_sign(index & z, self.n) < 0, minus, v.amps)
-            out[index ^ x] += coeff * _I_POW[(x & z).bit_count() % 4] * amps
+            phase = coeff * _I_POW[(x & z).bit_count() % 4]
+            sign = parity_sign(index & z, self.n)
+            if phase.real and phase.imag:
+                term = (phase * sign) * v.amps
+            else:
+                parts = pairs * (sign * (phase.real or phase.imag))[:, None]
+                if not phase.real:  # times i: (re, im) -> (-im, re)
+                    parts = parts[:, ::-1] * (-1.0, 1.0)
+                term = parts.view(complex)[:, 0]
+            out += term[index ^ x]  # index ^ x is its own inverse
         return StateVector(self.n, out)
 
     def __repr__(self) -> str:

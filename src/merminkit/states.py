@@ -31,7 +31,7 @@ def unpack_basis_word(index: int, n: int) -> tuple[int, ...]:
 class StateVector:
     """Complex amplitudes over the 2^n packed basis; immutable once built."""
 
-    __slots__ = ("n", "amps")
+    __slots__ = ("n", "amps", "_unit")  # _unit: the ``unit_scaled`` twin, made on first use
 
     def __init__(self, n: int, amps: Iterable[complex]):
         if n < 1:
@@ -44,6 +44,7 @@ class StateVector:
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", arr)
+        object.__setattr__(self, "_unit", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
@@ -86,8 +87,11 @@ def unit_scaled(v: StateVector) -> StateVector:
     The factor is exact, so ratios such as <v, M v> / <v, v> keep every bit,
     while the squared norm of the result can neither underflow nor overflow.
     ``ldexp`` scales the real and imaginary parts, so a subnormal largest
-    amplitude needs no unrepresentable factor.
+    amplitude needs no unrepresentable factor.  The result is made once per
+    state and kept on it (a state never changes); a refused state keeps nothing.
     """
+    if v._unit is not None:
+        return v._unit
     top = float(np.abs(v.amps).max())
     exp = math.frexp(top)[1]
     # a NaN or infinite part makes top non-finite, but so can finite parts that overflow
@@ -97,7 +101,9 @@ def unit_scaled(v: StateVector) -> StateVector:
         exp = math.frexp(float(np.max(np.abs(v.amps * 0.5))))[1] + 1  # half cannot overflow
     if top == 0:
         raise ValueError("state is identically zero")
-    return StateVector(v.n, np.ldexp(v.amps.view(float), -exp).view(complex))
+    object.__setattr__(v, "_unit", StateVector(
+        v.n, np.ldexp(v.amps.view(float), -exp).view(complex)))
+    return v._unit
 
 
 def check_qubit_count(n: int) -> None:

@@ -1148,3 +1148,43 @@ class TestLeanUnitChecks:
                     assert (refusal(lambda: bd.MeasurementSetting.uniform(3, vec, UNIT))
                             is None) == row_ok
         assert verdicts == {True, False}  # the grid straddles the tolerance
+
+
+# -- settings hold private read-only rows --------------------------------------
+
+
+class TestPrivateReadOnlyRows:
+    def test_changing_the_callers_arrays_leaves_a_setting_as_checked(self):
+        v = bd.bound_state("v31")
+        rng = np.random.default_rng(9960)
+        x = np.array([random_unit_vector(rng) for _ in range(3)])
+        y = np.array([random_unit_vector(rng) for _ in range(3)])
+        ux, uy = random_unit_vector(rng), random_unit_vector(rng)
+        settings = [bd.MeasurementSetting(x, y), bd.MeasurementSetting.uniform(3, ux, uy)]
+        before = [(s.x.tobytes(), s.y.tobytes(), float_bytes(bd.expectation(v, s)))
+                  for s in settings]
+        for arr in (x, y, ux, uy):
+            arr[...] = 0.0
+            arr[..., 2] = 5.0
+        for s, (sx, sy, mu) in zip(settings, before):
+            assert (s.x.tobytes(), s.y.tobytes()) == (sx, sy)
+            assert float_bytes(bd.expectation(v, s)) == mu
+
+    @pytest.mark.parametrize("make", [
+        lambda: bd.MeasurementSetting(np.eye(3), np.eye(3)[::-1]),
+        lambda: bd.MeasurementSetting.uniform(4, (0.0, 0.6, 0.8), (1.0, 0.0, 0.0)),
+        lambda: bd.MeasurementSetting.pauli12(3),
+    ], ids=["general", "uniform", "pauli12"])
+    def test_rows_are_not_writeable(self, make):
+        s = make()
+        for rows in (s.x, s.y):
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.5
+
+    @pytest.mark.parametrize("mode", bd.MODES)
+    def test_a_maximize_result_keeps_no_optimizer_array_alive(self, mode):
+        result = bd.maximize(bd.bound_state("v31"), mode=mode, starts=3)
+        for rows in (result.setting.x, result.setting.y):
+            assert rows.base is None  # owns its data: no view of the (rows, n, 3) starts
+            assert rows.shape == (3, 3) and not rows.flags.writeable

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -464,3 +465,73 @@ def test_apply_on_nine_qubits_matches_the_kronecker_oracle():
     s = PauliSum.from_words(PauliWord(w, c) for w, c in zip(letters, (1.0, -2j, 0.5 + 1j)))
     v = StateVector(9, rng.standard_normal(512) + 1j * rng.standard_normal(512))
     assert np.allclose(s.apply(v).amps, sum_matrix(s) @ v.amps, rtol=0, atol=1e-12)
+
+
+# -- apply without complex products for real and imaginary phases ----------------
+
+
+I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+
+
+def complex_product_apply(s, v):
+    """The parent revision's ``PauliSum.apply``, a complex product per term, as it was."""
+    index = np.arange(1 << s.n)
+    minus = -v.amps
+    out = np.zeros(1 << s.n, dtype=complex)
+    for (x, z), coeff in s.keyed_terms().items():
+        amps = np.where(parity_sign(index & z, s.n) < 0, minus, v.amps)
+        out[index ^ x] += coeff * I_POW[(x & z).bit_count() % 4] * amps
+    return out
+
+
+def seeded_states(n, rng, count):
+    """Seeded complex states, a quarter of their parts signed zeros."""
+    for _ in range(count):
+        parts = rng.standard_normal(2 << n)
+        zeros = rng.random(2 << n) < 0.25
+        parts[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        yield StateVector(n, parts.view(complex))
+
+
+def library_operators():
+    """Every catalog and solved operator, and seeded sums whose phases are real,
+    imaginary or neither."""
+    ops = []
+    for state_id in eigenops.STATE_IDS:
+        ops += eigenops.catalog_basis(state_id).operators
+        ops += eigenops.eigen_basis(eigenops.catalog_state(state_id)).operators
+    rng = np.random.default_rng(20261022)
+    for n in (3, 4):
+        for kind in (1.0, 1j, 1.0 + 1j):
+            for _ in range(10):
+                words = [PauliWord(tuple(int(j) for j in rng.integers(0, 4, n)),
+                                   complex(rng.uniform(-2, 2)) * kind) for _ in range(3)]
+                ops.append(PauliSum.from_words(words))
+    return ops
+
+
+def test_apply_is_bit_equal_to_the_complex_product_on_finite_input():
+    rng = np.random.default_rng(20261023)
+    checked = 0
+    for op in library_operators():
+        states = [ghz(op.n), *seeded_states(op.n, rng, 4)]
+        for v in states:
+            assert op.apply(v).amps.tobytes() == complex_product_apply(op, v).tobytes()
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("letters, amp, index, image", [
+    ((1, 1, 1), complex(math.inf, 0.0), 7, complex(math.inf, 0.0)),
+    ((1, 1, 1), complex(0.0, -math.inf), 7, complex(0.0, -math.inf)),
+    ((2, 2, 2), complex(math.inf, 0.0), 7, complex(0.0, -math.inf)),
+    ((3, 1, 2), complex(-math.inf, 0.0), 3, complex(0.0, -math.inf)),
+], ids=["real-phase", "real-phase-imag-amp", "imag-phase", "imag-phase-signed"])
+def test_an_infinite_amplitude_keeps_its_zero_part(letters, amp, index, image):
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = amp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0 * inf on the way
+        out = sigma(*letters).apply(StateVector(3, amps)).amps
+    assert out[index].real == image.real and out[index].imag == image.imag
+    assert np.count_nonzero(out) == 1

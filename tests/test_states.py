@@ -1,5 +1,6 @@
 """Tests for state constructors and the exchange-flip symmetry."""
 
+import math
 from math import comb
 
 import numpy as np
@@ -252,6 +253,64 @@ def test_finite_parts_whose_modulus_overflows_scale_like_a_smaller_copy(rng):
                 for v in rng.standard_normal((2, 3, 3)))
         setting = bounds.MeasurementSetting(x, y)
         assert bounds.expectation(big, setting) == bounds.expectation(small, setting)
+
+
+def fresh_rescale(v):
+    """v's amplitudes times 2**-e, e the frexp exponent of the largest modulus, by hand."""
+    pairs = v.amps.view(float).reshape(-1, 2).tolist()
+    top = max(math.hypot(re, im) for re, im in pairs)
+    if math.isfinite(top):
+        exp = math.frexp(top)[1]
+    else:  # the halves' modulus is finite, and its exponent one less
+        exp = math.frexp(max(math.hypot(re / 2, im / 2) for re, im in pairs))[1] + 1
+    return np.ldexp(v.amps.view(float), -exp).view(complex)
+
+
+def rescale_cases():
+    rng = np.random.default_rng(20261020)
+    cases = {sid: catalog_state(sid) for sid in CATALOG_IDS}
+    for scale in (5e-324, 1e-310, 1e308):
+        parts = rng.uniform(-1.5, 1.5, 16) * scale
+        cases[f"scale-{scale:g}"] = StateVector(3, parts.view(complex))
+    cases["modulus-overflow"] = sym_dicke(3, 1, [1.7e308 + 1.7e308j, 1, 1])
+    return cases
+
+
+class TestUnitScaledOncePerState:
+    @pytest.mark.parametrize("case", list(rescale_cases()))
+    def test_one_twin_per_state_equal_to_a_fresh_rescale(self, case):
+        v = rescale_cases()[case]
+        u = unit_scaled(v)
+        assert u is unit_scaled(v) and u is not v
+        assert u.amps.tobytes() == fresh_rescale(v).tobytes()
+        assert v.amps.tobytes() == rescale_cases()[case].amps.tobytes()  # v is untouched
+
+    @pytest.mark.parametrize("amp, message", [
+        (0.0, "identically zero"),
+        (complex(np.nan, 0.0), "non-finite"),
+        (complex(0.0, -np.inf), "non-finite"),
+    ], ids=["zero", "nan", "inf"])
+    def test_a_refused_state_is_refused_on_every_call(self, amp, message):
+        amps = np.zeros(8, dtype=complex)
+        amps[3] = amp
+        v = StateVector(3, amps)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                unit_scaled(v)
+
+    @pytest.mark.parametrize("state_id", bounds.BOUND_STATE_IDS)
+    def test_one_state_reused_for_many_settings_reads_as_a_fresh_one(self, state_id):
+        v = catalog_state(state_id)
+        n = v.n
+        rng = np.random.default_rng(20261021)
+        for k in range(200):
+            x, y = (w / np.linalg.norm(w, axis=1, keepdims=True)
+                    for w in rng.standard_normal((2, n, 3)))
+            setting = (bounds.MeasurementSetting(x, y) if k % 2 else
+                       bounds.MeasurementSetting.uniform(n, x[0], y[0]))
+            got = bounds.expectation(v, setting)
+            want = bounds.expectation(catalog_state(state_id), setting)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("amp", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)],

@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import numpy as np
 
@@ -350,6 +350,12 @@ def _tangent_model(tensor, x, y, sign, uniform: bool, paired=None):
     ``uniform``.  ``paired`` is ``_pair_stack(tensor)``, built here unless given.
     """
     rows, n, _ = x.shape
+    if rows == 1:
+        # one column would make ``paired @ rest`` a matrix-vector product,
+        # which rounds differently; a twin row keeps the batched product's bits
+        twin = _tangent_model(tensor, np.repeat(x, 2, axis=0), np.repeat(y, 2, axis=0),
+                              np.repeat(sign, 2), uniform, paired)
+        return *(part[:1] for part in twin[:3]), twin[3][..., :1]
     if paired is None:
         paired = _pair_stack(tensor)
     # rows last, so that each elementwise step runs over every row at once
@@ -681,6 +687,18 @@ def contour_csv_rows(grid: ContourGrid) -> Iterator[str]:
         yield (x3 + f"%.6g\n{x3}".join(labels) + "%.6g\n") % tuple(row.tolist())
 
 
+CSV_BLOCK_ROWS = 24  # rows of text joined and split at once by contour_csv_lines
+
+
 def contour_csv_lines(grid: ContourGrid) -> list[str]:
-    """Every line of ``contour_csv_rows``, header first."""
-    return "".join(contour_csv_rows(grid))[:-1].split("\n")
+    """Every line of ``contour_csv_rows``, header first.
+
+    The rows are joined and split a block at a time, so at most one block of
+    text is alive beside the lines, never the text of the whole grid.
+    """
+    rows = contour_csv_rows(grid)
+    lines = []
+    while block := list(islice(rows, CSV_BLOCK_ROWS)):
+        lines += "".join(block).split("\n")
+        lines.pop()  # the empty string after the block's last newline
+    return lines

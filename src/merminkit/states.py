@@ -31,7 +31,8 @@ def unpack_basis_word(index: int, n: int) -> tuple[int, ...]:
 class StateVector:
     """Complex amplitudes over the 2^n packed basis; immutable once built."""
 
-    __slots__ = ("n", "amps", "_unit")  # _unit: the ``unit_scaled`` twin, made on first use
+    # _unit: the ``unit_scaled`` twin and _norm_sq: ``norm_sq``, each made on first use
+    __slots__ = ("n", "amps", "_unit", "_norm_sq")
 
     def __init__(self, n: int, amps: Iterable[complex]):
         if n < 1:
@@ -45,13 +46,21 @@ class StateVector:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", arr)
         object.__setattr__(self, "_unit", None)
+        object.__setattr__(self, "_norm_sq", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, which the slot-state
+        # restore cannot (it writes slots); the cached twin and norm are remade
+        return StateVector, (self.n, self.amps)
+
     @property
     def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
+        if self._norm_sq is None:
+            object.__setattr__(self, "_norm_sq", float(np.vdot(self.amps, self.amps).real))
+        return self._norm_sq
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.amps) <= tol))

@@ -1,6 +1,8 @@
 """Tests for dense Mermin operators, closed-form expectations, and maxima."""
 
+import hashlib
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -270,6 +272,40 @@ class TestContour:
     def test_csv_matches_per_cell_format(self, state_id, sign):
         grid = bd.contour(state_id, sign, 201)
         assert bd.contour_csv_lines(grid) == self.per_cell_csv(grid)
+
+    @pytest.mark.parametrize("resolution", sorted({*range(2, 61), *(
+        k * bd.CSV_BLOCK_ROWS + d for k, d in ((1, -1), (1, 0), (1, 1), (2, 1)))}))
+    def test_csv_blocks_match_per_cell_format(self, resolution):
+        # short grids, and grids one row either side of a block boundary
+        grid = bd.contour("v41", -1, resolution)
+        assert bd.contour_csv_lines(grid) == self.per_cell_csv(grid)
+
+    @pytest.mark.parametrize("state_id, sign, resolution",
+                             [("v42", 1, 201), ("v31", -1, 401)])
+    def test_csv_lines_are_the_streamed_text(self, state_id, sign, resolution):
+        grid = bd.contour(state_id, sign, resolution)
+        streamed, count = hashlib.sha256(), 0
+        for row in bd.contour_csv_rows(grid):
+            streamed.update(row.encode())
+            count += row.count("\n")
+        lines = bd.contour_csv_lines(grid)
+        assert len(lines) == count == 1 + resolution * resolution
+        joined = hashlib.sha256(("\n".join(lines) + "\n").encode())
+        assert joined.hexdigest() == streamed.hexdigest()
+
+    def test_csv_lines_hold_no_whole_grid_text(self):
+        # the traced peak stays within a block of text of the lines themselves
+        grid = bd.contour("v42", 1, 201)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            lines = bd.contour_csv_lines(grid)
+            size, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(lines) == 1 + 201 * 201
+        assert peak < size + 0.25e6, (size, peak)
 
     def test_csv_formats_edge_values(self):
         values = np.array([[-0.0, 1e-7, 123456.7],
@@ -738,6 +774,31 @@ class TestSweepBitIdentity:
                 new = bd._seesaw_sweep(qubit_matrices(tensor), z, sign)
             assert np.array_equal(new, old)
             assert np.array_equal(z.real, x) and np.array_equal(z.imag, y)
+
+
+class TestOneRowTangentModel:
+    @pytest.mark.parametrize("mode", ["general", "uniform"])
+    @pytest.mark.parametrize("state_id", bd.CLOSED_FORM_IDS)
+    def test_one_row_equals_its_row_of_the_batch(self, state_id, mode):
+        # maximize models its winner alone, and a polish block can shrink to one row
+        v = bd.bound_state(state_id)
+        n, rows, uniform = v.n, 8, mode == "uniform"
+        tensor = bd._pauli_expectation_tensor(v)
+        if uniform:
+            tensor = bd._symmetrized(tensor)
+        rng = np.random.default_rng(9950 + n)
+        x = bd._random_units(rng, (rows, n, 3))
+        y = bd._random_units(rng, (rows, n, 3))
+        if uniform:
+            x[:], y[:] = x[:, :1], y[:, :1]
+        sign = rng.choice([1.0, -1.0], size=rows)
+        value, grad, hess, frames = bd._tangent_model(tensor, x, y, sign, uniform)
+        for r in range(rows):
+            one = bd._tangent_model(tensor, x[r:r + 1], y[r:r + 1], sign[r:r + 1], uniform)
+            assert one[0].tobytes() == value[r:r + 1].tobytes(), r
+            assert one[1].tobytes() == grad[r:r + 1].tobytes(), r
+            assert one[2].tobytes() == hess[r:r + 1].tobytes(), r
+            assert one[3].tobytes() == frames[..., r:r + 1].tobytes(), r
 
 
 class TestBlockAndLayoutBitIdentity:

@@ -1,6 +1,8 @@
 """Tests for state constructors and the exchange-flip symmetry."""
 
+import copy
 import math
+import pickle
 from math import comb
 
 import numpy as np
@@ -204,6 +206,30 @@ class TestStateVector:
     def test_norm_sq(self):
         assert dicke(3, 1).norm_sq == 3.0
         assert ghz(4).norm_sq == 2.0
+
+    @pytest.mark.parametrize("state_id", CATALOG_IDS)
+    def test_norm_sq_is_kept_once_per_state(self, state_id):
+        u = unit_scaled(catalog_state(state_id))
+        fresh = float(np.vdot(u.amps, u.amps).real)
+        assert u.norm_sq is u.norm_sq
+        assert np.float64(u.norm_sq).tobytes() == np.float64(fresh).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_rebuild_an_equal_immutable_state(self, make):
+        v = sym_dicke(3, 1, [1, 2 + 1j, 5])
+        unit_scaled(v), v.norm_sq  # fill the caches, which a copy does not carry
+        w = make(v)
+        assert type(w) is StateVector and w == v
+        assert w.amps.tobytes() == v.amps.tobytes()
+        assert w._unit is None and w._norm_sq is None
+        assert not w.amps.flags.writeable
+        with pytest.raises(ValueError):
+            w.amps[0] = 5
+        with pytest.raises(AttributeError, match="immutable"):
+            w.n = 4
+        assert unit_scaled(w).amps.tobytes() == unit_scaled(v).amps.tobytes()
 
 
 class TestUnitScaled:

@@ -331,7 +331,7 @@ def _pair_stack(tensor: np.ndarray) -> np.ndarray:
                      for a, b, o in zip(first, second, others)], dtype=complex)
 
 
-def _tangent_model(tensor, x, y, sign, uniform: bool, paired=None):
+def _tangent_model(paired, x, y, sign, uniform: bool):
     """Value, Riemannian gradient and Hessian of sign * mu per row.
 
     Tangent coordinates are, per qubit a, two along the frame Bx_a of x_a
@@ -347,17 +347,15 @@ def _tangent_model(tensor, x, y, sign, uniform: bool, paired=None):
     first pair and the sums are n Re(F^T c) and n(n-1) Re(F^T C F) - n
     diag(radial).  Returns the values (rows,), gradients (rows, 4m),
     Hessians (rows, 4m, 4m) and the frames F (3, 4, m, rows), m = 1 if
-    ``uniform``.  ``paired`` is ``_pair_stack(tensor)``, built here unless given.
+    ``uniform``.  ``paired`` is ``_pair_stack(tensor)``.
     """
     rows, n, _ = x.shape
     if rows == 1:
         # one column would make ``paired @ rest`` a matrix-vector product,
         # which rounds differently; a twin row keeps the batched product's bits
-        twin = _tangent_model(tensor, np.repeat(x, 2, axis=0), np.repeat(y, 2, axis=0),
-                              np.repeat(sign, 2), uniform, paired)
+        twin = _tangent_model(paired, np.repeat(x, 2, axis=0), np.repeat(y, 2, axis=0),
+                              np.repeat(sign, 2), uniform)
         return *(part[:1] for part in twin[:3]), twin[3][..., :1]
-    if paired is None:
-        paired = _pair_stack(tensor)
     # rows last, so that each elementwise step runs over every row at once
     z = x.T + 1j * y.T  # (3, n, rows)
     if uniform:
@@ -413,7 +411,7 @@ def _retract(x, y, frames, step):
     return new[0].T, new[1].T
 
 
-def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float, paired=None):
+def _newton_polish(paired, x, y, sign, uniform: bool, tol: float):
     """Damped Newton steps until no row gains more than ``tol``.
 
     Each step solves (delta I - H) step = grad, where delta = DAMPING *
@@ -423,7 +421,7 @@ def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float, paired=None):
     rejected step would be proposed again unchanged.  Updates x and y in place;
     returns the values and the number of steps (``paired`` as in ``_tangent_model``).
     """
-    values, grad, hess, frames = _tangent_model(tensor, x, y, sign, uniform, paired)
+    values, grad, hess, frames = _tangent_model(paired, x, y, sign, uniform)
     diag = np.arange(grad.shape[1])
     active = np.arange(values.size)
     steps = 0
@@ -437,7 +435,7 @@ def _newton_polish(tensor, x, y, sign, uniform: bool, tol: float, paired=None):
             break
         new_x, new_y = _retract(x[active], y[active], frames, step)
         new_values, grad, hess, frames = _tangent_model(
-            tensor, new_x, new_y, sign[active], uniform, paired)
+            paired, new_x, new_y, sign[active], uniform)
         steps += 1
         gain = new_values - values[active]
         up = gain > 0
@@ -576,13 +574,13 @@ def maximize(
         size = POLISH_ROWS * n * n if uniform else POLISH_ROWS
         for block in range(0, rows, size):
             part = slice(block, block + size)
-            values[part], steps = _newton_polish(tensor, x[part], y[part], sign[part],
-                                                 uniform, TOL_GAIN * scale, paired)
+            values[part], steps = _newton_polish(paired, x[part], y[part], sign[part],
+                                                 uniform, TOL_GAIN * scale)
             newton_steps = max(newton_steps, steps)
 
     best = int(np.argmax(values))
     at_best = slice(best, best + 1)
-    hess = _tangent_model(tensor, x[at_best], y[at_best], sign[at_best], uniform, paired)[2]
+    hess = _tangent_model(paired, x[at_best], y[at_best], sign[at_best], uniform)[2]
     orbit_dim, curvature = _curvature_signal(hess[0])
     setting = MeasurementSetting(x[best], y[best])
     # report the dense-matrix value at the winning setting

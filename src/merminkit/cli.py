@@ -75,7 +75,7 @@ def _cmd_eigenops(args) -> dict:
     if args.catalog:
         basis = eigenops.catalog_basis(args.state, coeffs)
     else:
-        basis = eigenops.eigen_basis(eigenops.catalog_state(args.state, coeffs))
+        basis = eigenops.eigen_basis(states.catalog_state(args.state, coeffs))
     return {
         "state": args.state,
         "source": "catalog" if args.catalog else "solved",
@@ -134,7 +134,7 @@ def _cmd_instr(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    state = bounds.bound_state(args.state)
+    state = states.catalog_state(args.state)
     result = bounds.maximize(
         state,
         mode=args.mode,

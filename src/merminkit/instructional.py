@@ -119,17 +119,23 @@ class SolveReport:
 @dataclass
 class DeviceVerdict:
     device: str
-    explainable: bool
     report: SolveReport
     certificate: list[int] | None
 
+    @property
+    def explainable(self) -> bool:
+        """True iff any assignment satisfies the system."""
+        return self.report.count > 0
 
-def _monomials_of(expr: PauliSum) -> list[tuple[int, tuple[int, ...]]]:
-    """Integer-coefficient monomials (coeff, letters); rejects I/s3 letters.
 
-    Also refuses coefficients whose magnitudes sum above MAX_COEFF_SUM, so
-    the int64 evaluation and polynomial checks never wrap.
+def _monomial_masks(expr: PauliSum) -> list[tuple[int, int]]:
+    """Integer-coefficient monomials (coeff, mask); rejects I/s3 letters.
+
+    The mask is in the ``Assignment.from_index`` layout.  Also refuses
+    coefficients whose magnitudes sum above MAX_COEFF_SUM, so the int64
+    evaluation and polynomial checks never wrap.
     """
+    n = expr.n
     terms = list(expr.terms())
     total = sum(abs(coeff) for _, coeff in terms)
     if not total <= MAX_COEFF_SUM:
@@ -144,15 +150,9 @@ def _monomials_of(expr: PauliSum) -> list[tuple[int, tuple[int, ...]]]:
             )
         if coeff.imag != 0 or coeff.real != round(coeff.real):
             raise ValueError(f"coefficient {coeff} is not an integer")
-        monomials.append((int(coeff.real), letters))
+        mask = sum(1 << (a if j == 1 else n + a) for a, j in enumerate(letters))
+        monomials.append((int(coeff.real), mask))
     return monomials
-
-
-def _monomial_masks(expr: PauliSum) -> list[tuple[int, int]]:
-    """Monomials (coeff, mask), the mask in the ``Assignment.from_index`` layout."""
-    n = expr.n
-    return [(coeff, sum(1 << (a if j == 1 else n + a) for a, j in enumerate(letters)))
-            for coeff, letters in _monomials_of(expr)]
 
 
 def _values(monomials, indices: np.ndarray) -> np.ndarray:
@@ -274,11 +274,9 @@ def device_system(device_id: str) -> InstructionalSystem:
 
 def system_verdict(label: str, system: InstructionalSystem) -> DeviceVerdict:
     """Solve a system; explainable iff any assignment works."""
-    report = solve(system)
     return DeviceVerdict(
         device=label,
-        explainable=report.count > 0,
-        report=report,
+        report=solve(system),
         certificate=parity_certificate(system),
     )
 

@@ -5,7 +5,7 @@ A word is a tensor product of single-qubit letters drawn from
 one coefficient per letter pattern.  Coefficients live in plain complex
 doubles: every coefficient produced by the operator identities handled here
 is a small integer times a power of i, so the arithmetic stays bit-exact in
-practice.  ``TOL_ALG`` only guards zero pruning.
+practice.  ``TOL_ALG`` only guards zero pruning and the zero test of a commutator.
 
 Letter codes: 0 = identity, 1..3 = the three Pauli matrices.  Basis vectors
 of n qubits are indexed by packed integers with qubit 1 in the most
@@ -224,20 +224,25 @@ class PauliSum:
         )
 
     def commutes(self, other: "PauliSum") -> bool:
-        """True iff the commutator normalizes to the empty sum.
+        """True iff every word's commutator coefficient is zero.
 
         Two words anticommute iff their symplectic product
         ``|xa&zb ^ za&xb|`` is odd, and then contribute ``2 a b s_a s_b``;
         commuting pairs cancel, so only anticommuting pairs are multiplied.
+        A word's coefficient counts as zero when its modulus is at most
+        ``TOL_ALG`` times the summed moduli of its contributions, so the
+        answer does not change when either operator is rescaled.
         """
         self._check_n(other)
-        acc: dict[tuple[int, int], complex] = {}
+        acc: dict[tuple[int, int], tuple[complex, float]] = {}
         for (xa, za), ca in self._terms.items():
             for (xb, zb), cb in other._terms.items():
                 if ((xa & zb) ^ (za & xb)).bit_count() & 1:
                     key, phase = _product((xa, za), (xb, zb))
-                    acc[key] = acc.get(key, 0j) + 2 * ca * cb * phase
-        return PauliSum(self.n, acc).is_zero()
+                    term = ca * cb * phase  # the common factor 2 cancels in the test
+                    total, scale = acc.get(key, (0j, 0.0))
+                    acc[key] = (total + term, scale + abs(term))
+        return all(abs(total) <= TOL_ALG * scale for total, scale in acc.values())
 
     def apply(self, v: StateVector) -> StateVector:
         """Linear action on a state vector, term by term; no normalization.

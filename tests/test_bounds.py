@@ -468,7 +468,7 @@ class TestNewtonPolish:
     @pytest.mark.parametrize("mode", ["general", "uniform"])
     def test_model_matches_finite_differences(self, n, mode):
         tensor, x, y, sign = self.setup_rows(n, mode, 7300 + n)
-        value, grad, hess, frames = bd._tangent_model(tensor, x, y, sign,
+        value, grad, hess, frames = bd._tangent_model(bd._pair_stack(tensor), x, y, sign,
                                                       mode == "uniform")
         dim = 4 if mode == "uniform" else 4 * n
         assert grad.shape == (3, dim) and hess.shape == (3, dim, dim)
@@ -504,8 +504,8 @@ class TestNewtonPolish:
         for cap in range(1, 6):
             monkeypatch.setattr(bd, "NEWTON_CAP", cap)
             xc, yc = x.copy(), y.copy()
-            values, steps = bd._newton_polish(tensor, xc, yc, sign, mode == "uniform",
-                                              1e-15)
+            values, steps = bd._newton_polish(bd._pair_stack(tensor), xc, yc, sign,
+                                              mode == "uniform", 1e-15)
             assert steps <= cap
             current = einsum_value(tensor, xc, yc, sign)
             assert np.allclose(values, current, atol=1e-12)
@@ -792,9 +792,11 @@ class TestOneRowTangentModel:
         if uniform:
             x[:], y[:] = x[:, :1], y[:, :1]
         sign = rng.choice([1.0, -1.0], size=rows)
-        value, grad, hess, frames = bd._tangent_model(tensor, x, y, sign, uniform)
+        value, grad, hess, frames = bd._tangent_model(bd._pair_stack(tensor), x, y, sign,
+                                                      uniform)
         for r in range(rows):
-            one = bd._tangent_model(tensor, x[r:r + 1], y[r:r + 1], sign[r:r + 1], uniform)
+            one = bd._tangent_model(bd._pair_stack(tensor), x[r:r + 1], y[r:r + 1],
+                                    sign[r:r + 1], uniform)
             assert one[0].tobytes() == value[r:r + 1].tobytes(), r
             assert one[1].tobytes() == grad[r:r + 1].tobytes(), r
             assert one[2].tobytes() == hess[r:r + 1].tobytes(), r
@@ -805,12 +807,11 @@ class TestBlockAndLayoutBitIdentity:
     @pytest.mark.parametrize("mode", ["general", "uniform"])
     @pytest.mark.parametrize("state_id", bd.BOUND_STATE_IDS)
     def test_polish_block_size_changes_no_bit(self, monkeypatch, state_id, mode):
-        """Rows are polished independently, so the block size moves no bit here.
+        """Rows are polished independently, so the block size moves no bit.
 
-        This holds while every block keeps two or more active rows; a block
-        left with one row is modelled by a matrix-vector product, whose last
-        bits can differ (v42 uniform at seed DEFAULT_SEED + 39 and 256 starts
-        ends in other setting bytes with 32 and 64 rows).
+        A block left with one active row models it beside a twin copy, by
+        the same batched matrix product as a larger block
+        (``TestOneRowTangentModel``), so this holds at every block size.
         """
         v = bd.bound_state(state_id)
         reference = bd.maximize(v, mode=mode)
@@ -954,7 +955,7 @@ class TestUniformAscent:
             n = bd.bound_state(state).n
             tensor = bd._symmetrized(bd._pauli_expectation_tensor(bd.bound_state(state)))
             _, x, y, sign = TestNewtonPolish.setup_rows(n, "uniform", 9310, rows=40)
-        new = bd._tangent_model(tensor, x, y, sign, True)
+        new = bd._tangent_model(bd._pair_stack(tensor), x, y, sign, True)
         old = old_uniform_model(tensor, x, y, sign)
         for got, want in zip(new, old):
             assert got.shape == want.shape

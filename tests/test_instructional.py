@@ -1,5 +1,6 @@
 """Tests for instructional-set evaluation, exhaustive solving, certificates."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from merminkit import eigenops as eo
 from merminkit import instructional as ins
-from merminkit.pauli import parse_sum, sigma
+from merminkit.pauli import PauliSum, parse_sum, sigma
 from merminkit.states import StateVector, catalog_state
 
 # hand-expanded instructional polynomials, written out independently of the
@@ -238,7 +239,7 @@ class TestParityCertificate:
                 exponents = np.zeros(2 * system.n, dtype=int)
                 for idx in verdict.certificate:
                     eq = system.equations[idx]
-                    ((coeff, letters),) = ins._monomials_of(eq.expr)
+                    ((letters, coeff),) = eq.expr.terms()
                     sign *= eq.target * coeff
                     for a, j in enumerate(letters):
                         exponents[a if j == 1 else system.n + a] += 1
@@ -482,7 +483,6 @@ def test_device_verdicts_read_only_the_compiled_monomials(monkeypatch):
         raise AssertionError("monomials derived outside Equation")
 
     monkeypatch.setattr(ins, "_monomial_masks", derived_again)
-    monkeypatch.setattr(ins, "_monomials_of", derived_again)
     for device, (explainable, count, certificate, digest) in DEVICE_VERDICTS.items():
         verdict = ins.device_verdict(device)
         indices = ",".join(map(str, verdict.report.indices.tolist()))
@@ -496,6 +496,86 @@ def test_device_verdicts_read_only_the_compiled_monomials(monkeypatch):
 def test_compiled_monomials_match_their_derivation(device):
     for eq in ins.device_system(device).equations:
         assert eq.monomials == tuple(ins._monomial_masks(eq.expr)), device
+
+
+def _two_step_monomial_masks(expr):
+    """The earlier compiler, verbatim: letter monomials, then their masks."""
+
+    def monomials_of(expr):
+        terms = list(expr.terms())
+        total = sum(abs(coeff) for _, coeff in terms)
+        if not total <= ins.MAX_COEFF_SUM:
+            raise ValueError(f"coefficient magnitudes sum to {total:g}, above the "
+                             f"exact-evaluation limit {ins.MAX_COEFF_SUM}")
+        monomials = []
+        for letters, coeff in terms:
+            if any(j not in (1, 2) for j in letters):
+                raise ValueError(
+                    "expression contains identity or s3 letters; "
+                    "only s1/s2 words have an instructional value"
+                )
+            if coeff.imag != 0 or coeff.real != round(coeff.real):
+                raise ValueError(f"coefficient {coeff} is not an integer")
+            monomials.append((int(coeff.real), letters))
+        return monomials
+
+    n = expr.n
+    return [(coeff, sum(1 << (a if j == 1 else n + a) for a, j in enumerate(letters)))
+            for coeff, letters in monomials_of(expr)]
+
+
+def _compiled(compile_, expr):
+    """The compiler's monomials, or the type and message of its refusal."""
+    try:
+        return tuple(compile_(expr))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_word_sums(count=600):
+    rng = np.random.default_rng(2300)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        words = [tuple(int(j) for j in rng.integers(1, 3, size=n))
+                 for _ in range(int(rng.integers(1, 9)))]
+        coeffs = rng.integers(-7, 8, size=len(words))
+        yield sum((int(c) * sigma(*w) for w, c in zip(words, coeffs)),
+                  PauliSum.zero(n))
+
+
+def test_one_step_compiler_matches_the_two_step_form():
+    expressions = [eq.expr for device in ins.devices()
+                   for eq in ins.device_system(device).equations]
+    seeded = list(_seeded_word_sums())
+    assert sum(not expr.is_zero() for expr in seeded) >= 500
+    # the three tau3 level sets (targets 1, -3 and 2) share one expression
+    expressions += [eo.tau3()] + seeded
+    for expr in expressions:
+        want = _compiled(_two_step_monomial_masks, expr)
+        assert _compiled(ins._monomial_masks, expr) == want, expr
+        assert ins.Equation(expr, 1).monomials == want, expr
+
+
+@pytest.mark.parametrize("text", ["s(0,1,1)", "s(3,1,1)", "0.5*s(1,1,1)",
+                                  "2097152*s(1,2,2)"])
+def test_one_step_compiler_refuses_with_the_two_step_messages(text):
+    expr = parse_sum(text)
+    want = _compiled(_two_step_monomial_masks, expr)
+    assert want[0] is ValueError
+    assert _compiled(ins._monomial_masks, expr) == want
+    with pytest.raises(ValueError) as refused:
+        ins.Equation(expr, 1)
+    assert str(refused.value) == want[1]
+    with pytest.raises(ValueError) as refused:
+        ins.evaluate(expr, ins.Assignment.from_index(0, 3))
+    assert str(refused.value) == want[1]
+
+
+def test_explainable_is_read_from_the_report():
+    assert "explainable" not in {f.name for f in dataclasses.fields(ins.DeviceVerdict)}
+    for device in ("u3", "u3-last3", "v41~"):
+        verdict = ins.device_verdict(device)
+        assert verdict.explainable is (verdict.report.count > 0), device
 
 
 def test_equal_equations_compare_and_hash_equal():

@@ -208,6 +208,19 @@ class TestCommutes:
         with pytest.raises(ValueError):
             sigma(1, 1).commutes(sigma(1, 1, 1))
 
+    def test_answer_does_not_change_when_both_operators_are_rescaled(self):
+        # the commutator's 2e-14 coefficient is below TOL_ALG in absolute terms
+        assert not (1e-7 * sigma(1)).commutes(1e-7 * sigma(2))
+        # an exact-zero rule would read this pair's 6.9e-18j residue as nonzero
+        a = 0.1 * sigma(1) + 0.3 * sigma(3)
+        assert a.commutes(0.7 * a)
+        ops = eigenops.catalog_basis("v42~").operators
+        for scale in (1e-8, 1e8, 1j):
+            scaled = [scale * op for op in ops]
+            for i, sa in enumerate(scaled):
+                for sb in scaled[i + 1:]:
+                    assert sa.commutes(sb), (scale, sa, sb)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_even_s2_words_all_commute(self, n):
         from merminkit.eigenops import candidate_words

@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -674,29 +674,36 @@ def contour(state_id: str, sign: int, resolution: int) -> ContourGrid:
                        values=values)
 
 
+CSV_BLOCK_ROWS = 24  # grid rows formatted into one text by contour_csv_rows
+
+
 def contour_csv_rows(grid: ContourGrid) -> Iterator[str]:
-    """The header, then each grid row's ``x3,y3,mu`` lines at 6 significant
-    digits, as text with every line ending in a newline."""
-    yield "x3,y3,mu\n"
-    # axis labels are formatted once and each row in one % call on a template of
-    # them; one row at a time keeps the floats of the whole grid from being alive
-    labels = [f"{a:.6g}," for a in grid.axis.tolist()]
-    for x3, row in zip(labels, grid.values):
-        yield (x3 + f"%.6g\n{x3}".join(labels) + "%.6g\n") % tuple(row.tolist())
+    """The header, then the text of each block of ``CSV_BLOCK_ROWS`` grid rows:
+    ``x3,y3,mu`` lines at 6 significant digits, each ending in a newline.
 
-
-CSV_BLOCK_ROWS = 24  # rows of text joined and split at once by contour_csv_lines
+    Every number is written byte for byte as ``'%.6g'`` writes it: by the
+    vectorized kernel of ``merminkit._csvtext`` where its rounding is certain,
+    by ``%`` itself otherwise.  A grid whose values are complex or not
+    resolution x resolution is refused.
+    """
+    r = grid.resolution
+    if np.shape(grid.values) != (r, r):
+        raise ValueError(f"contour values of shape {np.shape(grid.values)} do not "
+                         f"match resolution {r}, which needs shape {(r, r)}")
+    if np.iscomplexobj(grid.values):
+        raise TypeError("contour values must be real")
+    from ._csvtext import csv_texts  # only CSV output pays for compiling the formatter
+    return csv_texts(grid.axis, grid.values, CSV_BLOCK_ROWS)
 
 
 def contour_csv_lines(grid: ContourGrid) -> list[str]:
     """Every line of ``contour_csv_rows``, header first.
 
-    The rows are joined and split a block at a time, so at most one block of
-    text is alive beside the lines, never the text of the whole grid.
+    Each block's text is split as it comes, so at most one block of text is
+    alive beside the lines, never the text of the whole grid.
     """
-    rows = contour_csv_rows(grid)
     lines = []
-    while block := list(islice(rows, CSV_BLOCK_ROWS)):
-        lines += "".join(block).split("\n")
-        lines.pop()  # the empty string after the block's last newline
+    for text in contour_csv_rows(grid):
+        lines += text.split("\n")
+        lines.pop()  # the empty string after the text's last newline
     return lines

@@ -331,6 +331,109 @@ def test_csv_formats_non_finite_and_extreme_values():
                          "1,-1,-1e+300", "1,0,-4.94066e-324", "1,1,0"]
 
 
+def csv_mu_column(values):
+    """The mu column that ``contour_csv_lines`` writes for ``values``, laid out
+    row-major in a square grid padded with zeros, beside ``'%.6g' %`` of each
+    value as the grid's ``tolist()`` gives it."""
+    values = np.asarray(values).ravel()
+    r = max(2, math.isqrt(values.size - 1) + 1)
+    cells = np.zeros(r * r, values.dtype)
+    cells[:values.size] = values
+    grid = bd.ContourGrid(state_id="v31", sign=1, resolution=r, values=cells.reshape(r, r))
+    got = [line.rpartition(",")[2] for line in bd.contour_csv_lines(grid)[1:]]
+    return got, ["%.6g" % v for v in cells.tolist()]
+
+
+def test_csv_values_match_percent_format_on_a_million_seeded_doubles():
+    # both signs over decimal exponents -330..330 (subnormals, overflow to
+    # inf) and densely over the exponents formatted without the % fallback
+    rng = np.random.default_rng(20261020)
+    for lo, hi in ((-330, 330), (-330, 330), (-18, 24), (-18, 24)):
+        with np.errstate(over="ignore"):
+            values = 10.0 ** rng.uniform(lo, hi, 250_000)
+        values *= rng.choice([-1.0, 1.0], values.size)
+        got, want = csv_mu_column(values)
+        assert got == want
+
+
+def test_csv_values_match_percent_format_next_to_decimal_ties():
+    # the doubles nearest to 7-digit decimals ending in 5, and their neighbours:
+    # the values whose 6-digit rounding a float error could flip
+    rng = np.random.default_rng(5)
+    digits = rng.integers(100_000, 1_000_000, 30_000) * 10 + 5
+    exponents = rng.integers(-22, 28, digits.size)
+    ties = np.array([float(f"{d}e{e}") for d, e in zip(digits.tolist(), exponents.tolist())])
+    values = np.concatenate((ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)))
+    got, want = csv_mu_column(np.concatenate((values, -values)))
+    assert got == want
+
+
+def test_csv_values_match_percent_format_around_powers_of_ten():
+    # where log10 can round across an integer and give an exponent one too high
+    powers = np.array([float(f"1e{e}") for e in range(-330, 310)])
+    values = np.concatenate([powers] + [np.nextafter(powers, target) for target in (0.0, np.inf)]
+                            + [np.nextafter(np.nextafter(powers, 0.0), 0.0)])
+    got, want = csv_mu_column(np.concatenate((values, -values)))
+    assert got == want
+
+
+@pytest.mark.parametrize("value, text", [
+    (1000005.0, "1e+06"), (1000015.0, "1.00002e+06"), (1234565.0, "1.23456e+06"),
+    (0.0000123456, "1.23456e-05"), (0.000123456, "0.000123456"),
+    (999999.4, "999999"), (999999.5, "1e+06"), (99999.95, "99999.9"), (9.999995, "10"),
+    (0.0, "0"), (math.nan, "nan"), (math.inf, "inf")])
+def test_csv_formats_ties_and_style_switches(value, text):
+    # exact ties round half to even; each style switch falls where % puts it
+    got, want = csv_mu_column([value, -value])
+    assert got[:2] == want[:2] == [text, text if math.isnan(value) else "-" + text]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_csv_formats_other_dtypes_as_their_python_values(dtype):
+    rng = np.random.default_rng(7)
+    if dtype is np.float32:
+        values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-45, 38, 10_000)
+    else:
+        values = np.concatenate((rng.integers(-2**63, 2**63 - 1, 10_000, dtype=np.int64),
+                                 [0, 1, -1, 999_999, 1_000_005, 2**53 + 1, -2**63, 2**63 - 1]))
+    got, want = csv_mu_column(values.astype(dtype))
+    assert got == want
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4, 4), (9,), (3, 3, 1)])
+def test_csv_refuses_values_that_are_not_resolution_squared(shape):
+    grid = bd.ContourGrid(state_id="v31", sign=1, resolution=3, values=np.zeros(shape))
+    for write in (bd.contour_csv_rows, bd.contour_csv_lines):
+        with pytest.raises(ValueError) as info:
+            write(grid)
+        assert str(shape) in str(info.value) and "(3, 3)" in str(info.value)
+
+
+def test_csv_refuses_complex_values():
+    # a cast to float would write the real parts and drop the imaginary ones
+    grid = bd.ContourGrid(state_id="v31", sign=1, resolution=2, values=np.ones((2, 2), complex))
+    with pytest.raises(TypeError):
+        bd.contour_csv_lines(grid)
+
+
+@pytest.mark.parametrize("resolution", [201, 60])
+def test_csv_block_size_changes_no_byte(monkeypatch, resolution):
+    grid = bd.contour("v42", -1, resolution)
+
+    def lines_and_digest():
+        streamed = hashlib.sha256()
+        for text in bd.contour_csv_rows(grid):
+            streamed.update(text.encode())
+        return bd.contour_csv_lines(grid), streamed.hexdigest()
+
+    default = bd.CSV_BLOCK_ROWS
+    monkeypatch.setattr(bd, "CSV_BLOCK_ROWS", 24)
+    reference = lines_and_digest()
+    for rows in sorted({1, 7, default, 201}):
+        monkeypatch.setattr(bd, "CSV_BLOCK_ROWS", rows)
+        assert lines_and_digest() == reference
+
+
 class TestMaximize:
     def test_w_state_uniform(self):
         result = bd.maximize(bd.bound_state("v31"), mode="uniform",

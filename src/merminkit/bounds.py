@@ -645,6 +645,8 @@ MAX_RESOLUTION = 2001  # samples per axis; the grid holds resolution^2 floats
 
 def _grid_axis(resolution: int) -> np.ndarray:
     """``resolution`` evenly spaced samples of [-1, 1], exactly symmetric."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
     return (2.0 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
 
 
@@ -663,8 +665,6 @@ class ContourGrid:
 
 
 def contour(state_id: str, sign: int, resolution: int) -> ContourGrid:
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     if resolution > MAX_RESOLUTION:
         raise ValueError(f"resolution {resolution} refused (above {MAX_RESOLUTION})")
     axis = _grid_axis(resolution)

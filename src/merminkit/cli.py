@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader left: end quietly, and flush to devnull at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"merminkit: error: {exc}", file=sys.stderr)
         return 1
     if payload.get("all_ok") is False:  # only identities reports all_ok

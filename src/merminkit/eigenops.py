@@ -69,25 +69,31 @@ def tensor_insert(letter: int, position: int, inner: PauliSum) -> PauliSum:
     """Tensor a single-qubit letter at a 1-based position into an operator."""
     if not 1 <= position <= inner.n + 1:
         raise ValueError(f"position {position} out of range")
-    words = []
-    for letters, coeff in inner.terms():
-        ls = list(letters)
-        ls.insert(position - 1, letter)
-        words.append(PauliWord(tuple(ls), coeff))
-    return PauliSum.from_words(words)
+    p = position - 1
+    return PauliSum.from_words([PauliWord(ls[:p] + (letter,) + ls[p:], coeff)
+                                for ls, coeff in inner.terms()])
 
 
 # -- polynomials --------------------------------------------------------------
 
 
+# the cubics f(t) = (a t - t^3) / b of the device analysis, by name: (a, b)
+CUBICS = {"f3": (7, 6), "f4": (28, 24)}
+
+
+def _cubic(name: str, t: PauliSum) -> PauliSum:
+    a, b = CUBICS[name]
+    return (1.0 / b) * (-1.0 * (t * t * t) + a * t)
+
+
 def f3(t: PauliSum) -> PauliSum:
-    """Degree-3 polynomial (-t^3 + 7 t) / 6."""
-    return (1.0 / 6.0) * (-1.0 * (t * t * t) + 7.0 * t)
+    """The cubic ``CUBICS["f3"]`` of t."""
+    return _cubic("f3", t)
 
 
 def f4(t: PauliSum) -> PauliSum:
-    """Degree-3 polynomial (-t^3 + 28 t) / 24."""
-    return (1.0 / 24.0) * (-1.0 * (t * t * t) + 28.0 * t)
+    """The cubic ``CUBICS["f4"]`` of t."""
+    return _cubic("f4", t)
 
 
 # -- candidate words and the eigenproblem -------------------------------------

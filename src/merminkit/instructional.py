@@ -12,6 +12,7 @@ verdicts are unconditional.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,17 +21,9 @@ from .pauli import PauliSum, parity_sign, sigma
 from . import eigenops
 
 _CHUNK = 1 << 18  # assignments processed per numpy block
-# largest absolute coefficient sum of an expression: it bounds the value v,
-# and -v**3 + 28 v, the widest check below, fits in int64 for |v| < 2**21
+# largest absolute coefficient sum of an expression: it bounds the value v, and
+# a v - v**3 fits in int64 for |v| < 2**21 at the largest a of eigenops.CUBICS, 28
 MAX_COEFF_SUM = 1 << 20
-
-# integer-exact checks for "poly(value) == target", poly None meaning the value
-# itself; the cubics compare cleared denominators
-_POLY_CHECKS = {
-    None: lambda v, t: v == t,
-    "f3": lambda v, t: -(v ** 3) + 7 * v == 6 * t,
-    "f4": lambda v, t: -(v ** 3) + 28 * v == 24 * t,
-}
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ class Equation:
     monomials: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.poly not in _POLY_CHECKS:
+        if self.poly is not None and self.poly not in eigenops.CUBICS:
             raise ValueError(f"unknown polynomial {self.poly!r}")
         # the (coeff, mask) form that solve and parity_certificate read
         object.__setattr__(self, "monomials", tuple(_monomial_masks(self.expr)))
@@ -137,7 +130,7 @@ def _monomial_masks(expr: PauliSum) -> list[tuple[int, int]]:
     """
     n = expr.n
     terms = list(expr.terms())
-    total = sum(abs(coeff) for _, coeff in terms)
+    total = sum(math.hypot(c.real, c.imag) for _, c in terms)  # inf where abs() raises
     if not total <= MAX_COEFF_SUM:
         raise ValueError(f"coefficient magnitudes sum to {total:g}, above the "
                          f"exact-evaluation limit {MAX_COEFF_SUM}")
@@ -181,8 +174,11 @@ def solve(system: InstructionalSystem) -> SolveReport:
     for start in range(0, total, _CHUNK):
         indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         for eq in system.equations:
-            values = _values(eq.monomials, indices)
-            indices = indices[_POLY_CHECKS[eq.poly](values, eq.target)]
+            values, target = _values(eq.monomials, indices), eq.target
+            if eq.poly is not None:  # (a v - v^3) / b == t, the denominator cleared
+                a, b = eigenops.CUBICS[eq.poly]
+                values, target = a * values - values ** 3, b * target
+            indices = indices[values == target]
             if not len(indices):
                 break
         hits.append(indices)

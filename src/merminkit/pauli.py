@@ -5,7 +5,9 @@ A word is a tensor product of single-qubit letters drawn from
 one coefficient per letter pattern.  Coefficients live in plain complex
 doubles: every coefficient produced by the operator identities handled here
 is a small integer times a power of i, so the arithmetic stays bit-exact in
-practice.  ``TOL_ALG`` only guards zero pruning and the zero test of a commutator.
+practice.  A sum drops a term only when its coefficient is exactly zero; a NaN
+is kept.  ``TOL_ALG`` is the relative zero test of a commutator, the default
+of ``allclose`` and the bound below which ``parse_sum`` refuses a coefficient.
 
 Letter codes: 0 = identity, 1..3 = the three Pauli matrices.  Basis vectors
 of n qubits are indexed by packed integers with qubit 1 in the most
@@ -120,7 +122,7 @@ class PauliWord:
 
 
 class PauliSum:
-    """A normalized linear combination of Pauli words on n qubits."""
+    """A linear combination of Pauli words on n qubits, no coefficient exactly 0."""
 
     __slots__ = ("n", "_terms")
 
@@ -128,11 +130,8 @@ class PauliSum:
         if n < 1:
             raise ValueError("qubit count must be >= 1")
         self.n = n
-        self._terms: dict[tuple[int, int], complex] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if abs(coeff) > TOL_ALG:
-                    self._terms[key] = complex(coeff)
+        self._terms: dict[tuple[int, int], complex] = {
+            key: complex(coeff) for key, coeff in (terms or {}).items() if coeff != 0}
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
@@ -193,13 +192,11 @@ class PauliSum:
         return (-1.0) * self
 
     def __rmul__(self, scalar: complex) -> "PauliSum":
-        if isinstance(scalar, PauliSum):
-            return NotImplemented
         return PauliSum(self.n, {k: scalar * c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, PauliSum):
-            return PauliSum(self.n, {k: other * c for k, c in self._terms.items()})
+            return self.__rmul__(other)
         self._check_n(other)
         acc: dict[tuple[int, int], complex] = {}
         for ka, ca in self._terms.items():
@@ -360,7 +357,7 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
             coeff = 1.0 + 0j
         else:
             coeff = _parse_coeff(coeff_text)
-            if 0 < math.hypot(coeff.real, coeff.imag) <= TOL_ALG:  # PauliSum would prune it
+            if 0 < math.hypot(coeff.real, coeff.imag) <= TOL_ALG:  # too small to be meant exactly
                 raise ValueError(f"coefficient {coeff_text!r} is at most {TOL_ALG:g}")
         letters = tuple(int(j) for j in m["word"].split(","))
         # negation, not a product: 0 * inf in a product would be a NaN part
@@ -370,7 +367,7 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
         if modulus == math.inf and cmath.isfinite(total):
             raise ValueError(f"the terms of {render_word(letters)} sum to {total:.3g}, "
                              "whose modulus is beyond the float range")
-        # PauliSum would prune an inexact cancellation silently; an exact one is zero
+        # an inexact cancellation is refused as float residue; an exact one is zero
         if total != 0 and not modulus > TOL_ALG:
             raise ValueError(f"the terms of {render_word(letters)} sum to {total:.3g}, "
                              f"which is nonzero but not above {TOL_ALG:g}")

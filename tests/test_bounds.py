@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -252,6 +253,18 @@ class TestContour:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             bd.contour("v31", 1, 1)
+
+    @pytest.mark.parametrize("resolution", [1, 0])
+    def test_hand_built_grid_below_two_samples_refused(self, resolution):
+        # the axis once divided 0 by 0 and wrote nan,nan,0 with a RuntimeWarning
+        grid = bd.ContourGrid(state_id="v31", sign=1, resolution=resolution,
+                              values=np.zeros((resolution, resolution)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in (lambda: grid.axis, lambda: bd.contour_csv_rows(grid),
+                         lambda: bd.contour_csv_lines(grid)):
+                with pytest.raises(ValueError, match="^resolution must be at least 2$"):
+                    read()
 
     def test_resolution_above_limit_refused(self):
         # refused before any grid is allocated
@@ -614,6 +627,20 @@ class TestNewtonPolish:
             assert np.allclose(values, current, atol=1e-12)
             assert np.all(current >= previous - 1e-12)
             previous = current
+
+    def test_a_singular_solve_keeps_the_settings_and_stops(self, monkeypatch):
+        tensor, x, y, sign = self.setup_rows(3, "general", 7500, rows=4)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        xc, yc = x.copy(), y.copy()
+        values, steps = bd._newton_polish(bd._pair_stack(tensor), xc, yc, sign,
+                                          False, 1e-15)
+        assert steps == 0
+        assert np.array_equal(xc, x) and np.array_equal(yc, y)
+        assert np.allclose(values, einsum_value(tensor, x, y, sign), atol=1e-12)
 
     def test_sweeps_left_needs_a_rate(self):
         assert bd._sweeps_left(1e-8, math.inf, 1e-15) == 0.0

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from merminkit import bounds, cli, eigenops, states
+from merminkit import bounds, cli, eigenops, instructional, states
 
 
 def run_cli(*args):
@@ -331,6 +331,27 @@ def test_coefficient_sum_above_limit_is_one_line_error(tmp_path, capsys, expr):
     assert out == ""
     assert len(err.splitlines()) == 1, err
     assert "coefficient magnitudes sum to" in err
+
+
+def test_memory_error_is_one_line_error(capsys, monkeypatch):
+    def out_of_memory(system):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+    monkeypatch.setattr(instructional, "solve", out_of_memory)
+    assert cli.main(["instr", "--device", "u3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["merminkit: error: Unable to allocate 16.0 GiB for an array"]
+
+
+def test_malformed_system_file_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text('[{"expr": "s(1,1,1)", "target": 1')
+    assert cli.main(["instr", "--system-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("merminkit: error: Expecting")
 
 
 @pytest.mark.parametrize("target", [0, 1])

@@ -9,7 +9,7 @@ import pytest
 
 from merminkit import cli
 from merminkit import eigenops as eo
-from merminkit.pauli import PauliSum, render_sum, sigma
+from merminkit.pauli import PauliSum, identity, render_sum, sigma
 from merminkit.states import StateVector, dicke, sym_coeff_count
 
 from conftest import kron_word, random_nonzero_coeffs, sum_matrix
@@ -361,6 +361,14 @@ class TestTauOperators:
         with pytest.raises(ValueError):
             eo.tensor_insert(1, 9, eo.tau3())
 
+    def test_tensor_insert_accepts_positions_one_to_n_plus_one(self):
+        inner = sigma(1, 2, coeff=3.0)
+        assert eo.tensor_insert(3, 1, inner) == sigma(3, 1, 2, coeff=3.0)
+        assert eo.tensor_insert(3, 3, inner) == sigma(1, 2, 3, coeff=3.0)
+        for position in (0, 4):
+            with pytest.raises(ValueError, match=f"^position {position} out of range$"):
+                eo.tensor_insert(3, position, inner)
+
 
 class TestPolynomials:
     def test_f3_of_tau3(self):
@@ -373,6 +381,13 @@ class TestPolynomials:
 
     def test_f4_of_tau4(self):
         assert eo.f4(eo.tau4()) == sigma(1, 1, 1, 1) + sigma(2, 2, 2, 2)
+
+    def test_cubics_of_a_multiple_of_the_identity(self):
+        # f(c I) = (a c - c^3) / b I for each (a, b) of the one table
+        assert eo.CUBICS == {"f3": (7, 6), "f4": (28, 24)}
+        for f, (a, b) in ((eo.f3, eo.CUBICS["f3"]), (eo.f4, eo.CUBICS["f4"])):
+            for c in (1.0, 2.0, -3.0, 4.0):
+                assert f(c * identity(3)) == ((a * c - c ** 3) / b) * identity(3)
 
     def test_f3_on_factorizable_operators(self):
         for i in (1, 2, 3, 4):
@@ -435,6 +450,14 @@ def test_a_tiny_multiple_of_an_outside_operator_stays_outside():
     basis = eo.eigen_basis(eo.catalog_state("v31~"))
     assert not eo.in_span(sigma(1, 2, 2), basis)
     assert not eo.in_span(1e-10 * sigma(1, 2, 2), basis)
+
+
+@pytest.mark.parametrize("c", [1e-13, 2.0 ** -1000, 5e-324, 1e300])
+def test_in_span_answers_alike_at_every_coefficient_scale(c):
+    # 1e-13 and 2^-1000 were once pruned to the zero operator, which is in span
+    basis = eo.catalog_basis("v31~")
+    assert not eo.in_span(c * sigma(1, 2, 2), basis)
+    assert eo.in_span(c * eo.tau3(), basis)
 
 
 def _in_exact_span(op, basis, rank):

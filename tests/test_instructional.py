@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -610,3 +611,83 @@ def test_unknown_polynomial_is_refused():
 def test_evaluate_refuses_an_assignment_of_another_qubit_count():
     with pytest.raises(ValueError, match=r"^qubit counts differ: 3 != 4$"):
         ins.evaluate(sigma(1, 1, 1), ins.Assignment((1,) * 4, (1,) * 4))
+
+
+def test_a_system_refuses_an_equation_of_another_qubit_count():
+    with pytest.raises(ValueError, match=r"^equation on 4 qubits in a 3-qubit system$"):
+        ins.InstructionalSystem(3, [ins.Equation(sigma(1, 1, 1), 1),
+                                    ins.Equation(sigma(1, 1, 1, 1), 1)])
+
+
+def test_a_modulus_beyond_the_float_range_is_refused_by_the_sum_limit():
+    # the coefficient is kept, and its modulus reads as inf instead of raising
+    with pytest.raises(ValueError, match="coefficient magnitudes sum to inf"):
+        ins.Equation(sigma(1, 1, 1, coeff=1.7e308 + 1.7e308j), 1)
+
+
+@pytest.mark.parametrize("poly", ["f3", "f4"])
+def test_the_exact_cubic_check_agrees_with_the_operator_cubic(poly):
+    # on c * s(1,1,1) the value is +-c and f(c s) = f(c) s, since s^3 = s
+    cubic = {"f3": eo.f3, "f4": eo.f4}[poly]
+    for c in range(1, 9):
+        f_c = cubic(c * sigma(1, 1, 1)).coefficient((1, 1, 1)).real
+        for target in {int(f_c), int(f_c) + 1, -int(f_c)}:
+            equation = ins.Equation(c * sigma(1, 1, 1), target, poly)
+            system = ins.InstructionalSystem(3, [equation])
+            # the value is c at 32 assignments and -c at the other 32; f is odd
+            expected = 32 * ((f_c == target) + (-f_c == target))
+            assert ins.solve(system).count == expected, (c, target)
+
+
+def _product_system_with_a_redundant_equation(rng, n):
+    """One or three distinct single-word equations that a hidden assignment
+    satisfies, a further satisfied one anywhere among them, and a last
+    equation on the product of the one or three words with the sign that
+    contradicts them.
+
+    The values of three s1/s2 words multiply to the value of the word with s1
+    where an odd number of them has it, as xi1 eta2 eta3 * eta1 xi2 eta3 *
+    eta1 eta2 xi3 = xi1 xi2 xi3.  The further word is neither one of those
+    words nor their product, so no product of the others gives it.  Returns
+    the system and the index of the further equation.
+    """
+    hidden = ins.Assignment.from_index(int(rng.integers(0, 1 << 2 * n)), n)
+    all_words = list(product((1, 2), repeat=n))
+    while True:
+        picks = rng.choice(len(all_words), size=int(rng.choice([1, 3])), replace=False)
+        words = [all_words[k] for k in sorted(picks.tolist())]
+        last = tuple(1 if column.count(1) % 2 else 2 for column in zip(*words))
+        others = [w for w in all_words if w not in words and w != last]
+        if others:
+            break
+    redundant = others[int(rng.integers(0, len(others)))]
+
+    def satisfied(word):
+        expr = float(rng.choice([-1, 1])) * sigma(*word)
+        return ins.Equation(expr, ins.evaluate(expr, hidden))
+
+    equations = [satisfied(w) for w in words]
+    at = int(rng.integers(0, len(words) + 1))
+    equations.insert(at, satisfied(redundant))
+    closing = sigma(*last)
+    equations.append(ins.Equation(closing, -ins.evaluate(closing, hidden)))
+    return ins.InstructionalSystem(n, equations), at
+
+
+def test_a_certificate_leaves_out_a_redundant_equation(rng):
+    for n in (2, 3, 4):
+        for _ in range(12):
+            system, redundant = _product_system_with_a_redundant_equation(rng, n)
+            certificate = ins.parity_certificate(system)
+            assert certificate is not None
+            assert redundant not in certificate
+            assert len(certificate) < len(system.equations)
+            mask, sign = 0, 1
+            for k in certificate:
+                eq = system.equations[k]
+                ((coeff, word_mask),) = eq.monomials
+                mask ^= word_mask
+                sign *= coeff * eq.target
+            assert mask == 0 and sign == -1
+            assert ins.solve(system).count == 0
+            assert oracle_solutions(system) == []

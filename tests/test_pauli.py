@@ -167,12 +167,50 @@ class TestAddAndScale:
         assert (a + (-1.0) * a).is_zero()
 
     def test_zero_terms_pruned(self):
+        # only an exactly zero coefficient is dropped, at any scale
         s = sigma(1, 2, coeff=1e-15)
-        assert s.is_zero()
+        assert not s.is_zero()
+        assert list(s.terms()) == [((1, 2), 1e-15)]
+        assert (s - s).is_zero()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sigma(1, 1) + sigma(1, 1, 1)
+
+    @pytest.mark.parametrize("c", [1e-13, 2.0 ** -1000, 5e-324, 1e300])
+    def test_a_nonzero_coefficient_is_kept_at_every_scale(self, c):
+        s = c * sigma(1, 2, 2)
+        assert not s.is_zero()
+        assert s.coefficient((1, 2, 2)) == c
+        assert s != PauliSum.zero(3)
+        assert (s + (-c) * sigma(1, 2, 2)).is_zero()
+
+    def test_a_nan_coefficient_is_kept(self):
+        s = 0 * sigma(1, coeff=math.inf)
+        ((letters, coeff),) = s.terms()
+        assert letters == (1,) and math.isnan(coeff.real)
+
+    def test_exact_zeros_are_dropped_from_every_construction(self):
+        assert PauliSum(2, {(1, 0): 0j, (0, 1): 1.0}) == sigma(0, 3)
+        assert PauliSum.from_words([PauliWord((1, 1), 0.0)]).is_zero()
+        assert (0.0 * tau3()).is_zero()
+        assert (sigma(1, 1) * (0 * sigma(2, 2))).is_zero()
+
+
+class TestEquality:
+    def test_equal_sums_compare_equal(self):
+        assert sigma(1, 2, 2) + sigma(3, 0, 1) == sigma(3, 0, 1) + sigma(1, 2, 2)
+        assert PauliSum.zero(2) == PauliSum.zero(2)
+
+    @pytest.mark.parametrize("a, b", [
+        (sigma(1, 1, 1), sigma(1, 2, 2)),
+        (PauliSum.zero(2), PauliSum.zero(3)),
+        (sigma(1, 2, 2), sigma(1, 2, 2, coeff=2.0)),
+        (sigma(1, 2, 2), sigma(1, 2, 2) + sigma(2, 1, 2)),
+    ], ids=["other-word", "other-n", "other-coefficient", "extra-term"])
+    def test_different_sums_compare_unequal(self, a, b):
+        assert a != b and b != a
+        assert not a == b
 
 
 class TestCommutes:
@@ -355,6 +393,11 @@ def test_parse_keeps_exact_cancellation_and_small_kept_coefficients():
 def test_parse_refuses_terms_that_cancel_inexactly(text):
     with pytest.raises(ValueError, match="nonzero but not above 1e-12"):
         parse_sum(text)
+
+
+def test_parse_keeps_an_explicit_zero_coefficient_as_nothing():
+    assert parse_sum("0*s(1,1) + s(1,2)") == sigma(1, 2)
+    assert parse_sum("0*s(1,1)").is_zero()
 
 
 def test_parse_keeps_exact_cancellation_of_several_terms():

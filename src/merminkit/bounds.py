@@ -7,8 +7,9 @@ independent of the symbolic algebra in :mod:`merminkit.pauli`.
 
 The maximizer works on the real tensor T of Pauli-word expectations, in
 which mu is multilinear in the per-qubit z_a = x_a + i y_a: general settings
-are found by a batched see-saw over the qubits, uniform ones by a shifted
-power ascent on the symmetrized tensor, and both are polished by damped
+are found by a batched see-saw over the qubits that now and then extrapolates
+along its own path, uniform ones by a shifted power ascent on the symmetrized
+tensor, and both are polished by damped
 Riemannian Newton steps on the product of spheres.  Every reported value is
 the dense-matrix expectation at the setting found.
 """
@@ -196,6 +197,8 @@ POLISH_ROWS = 32  # rows polished together; bounds the Hessians held at once
 DAMPING = 1e-9  # Newton shift, relative to the largest Hessian entry
 TOL_FLAT = 1e-6  # Hessian eigenvalues this small, relative, lie along the orbit
 MAX_STARTS = 4096  # starts per sign branch; rows hold 2 * starts settings
+EXTRAPOLATE_EVERY = 5  # general mode: see-saw sweeps from one jump to the next
+EXTRAPOLATE_STEP = 2.0  # a jump goes this many times the path since the last one
 
 
 def _pauli_expectation_tensor(v: StateVector) -> np.ndarray:
@@ -280,6 +283,33 @@ def _seesaw_sweep(matrices, z, sign):
     for a, matrix in enumerate(matrices):
         norm = _set_along(z, a, sign[:, None] * _contract_except(matrix, z, a))
     return norm[:, 0] + norm[:, 1]
+
+
+def _jump(matrix, z, origin, sign, values):
+    """Move each row on along its path since ``origin`` where that raises sign * mu.
+
+    A row proposes z + EXTRAPOLATE_STEP (z - origin) with every qubit's x and
+    y renormalized, and takes it only where sign * mu there, read by one
+    contraction on the last qubit's ``matrix``, is strictly above its
+    ``values``; a part of zero or non-finite norm keeps its row.  Updates z
+    and ``values`` in place.  ``origin`` becomes z as it was before the jump,
+    so that a row's next path holds the jump it took, and its steps grow
+    along a straight path until one overshoots.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # such rows are refused below
+        proposal = z + EXTRAPOLATE_STEP * (z - origin)
+        parts = proposal.view(float).reshape(*z.shape, 2)  # (rows, n, 3, re/im)
+        squares = parts * parts
+        norm = np.sqrt(squares[:, :, 0] + squares[:, :, 1] + squares[:, :, 2])[:, :, None]
+    origin[:] = z
+    ok = np.all((norm > 0) & (norm < math.inf), axis=(1, 2, 3))
+    np.divide(parts, norm, out=parts, where=ok[:, None, None, None])
+    np.copyto(proposal, z, where=~ok[:, None, None])
+    c = _contract_except(matrix, proposal, z.shape[1] - 1)
+    new = sign * np.einsum("rj,rj->r", c, proposal[:, -1]).real
+    better = ok & (new > values)
+    np.copyto(z, proposal, where=better[:, None, None])
+    np.copyto(values, new, where=better)
 
 
 def _power_sweep(matrix, z, sign, shift):
@@ -515,14 +545,18 @@ def maximize(
     phase runs until no row gains more than TOL_COARSE relative to the
     largest |mu| and the per-sweep rate of that gain leaves more than
     POLISH_SWEEPS sweeps to TOL_GAIN, or until SWEEP_CAP sweeps.  General
-    mode is a see-saw: each qubit's (x, y) in turn jumps to its exact
-    optimum with the others fixed.  Uniform mode is a shifted power ascent
-    on the symmetrized tensor, so states that are not permutation symmetric
-    are handled too.  Unless that phase already met TOL_GAIN, damped
-    Riemannian Newton steps then polish every row until none gains more
-    than TOL_GAIN.  The run is bit-deterministic for a fixed seed; ties keep
-    the earliest row.  The reported value is the dense-matrix |mu| at the
-    winning setting.
+    mode is a see-saw: each qubit's (x, y) in turn moves to its exact
+    optimum with the others fixed, and every EXTRAPOLATE_EVERY sweeps each
+    row jumps EXTRAPOLATE_STEP times further along its path since the last
+    jump where that raises its value (``_jump``); a jump's gain counts in
+    its sweep's gain, but a jump sweep never hands over, since that gain
+    gives no see-saw rate.  Uniform mode is a
+    shifted power ascent on the symmetrized tensor, so states that are not
+    permutation symmetric are handled too.  Unless that phase already met
+    TOL_GAIN, damped Riemannian Newton steps then polish every row until
+    none gains more than TOL_GAIN.  The run is bit-deterministic for a fixed
+    seed; ties keep the earliest row.  The reported value is the
+    dense-matrix |mu| at the winning setting.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -551,6 +585,7 @@ def maximize(
         matrices = [np.moveaxis(tensor, a, -1).reshape(3, -1).astype(complex)
                     for a in range(n)]
         sweep = partial(_seesaw_sweep, matrices, z, sign)
+        jump = partial(_jump, matrices[-1], z, z.copy(), sign)  # from the starts
 
     values = sweep()
     sweeps = 1
@@ -558,12 +593,16 @@ def maximize(
     while sweeps < SWEEP_CAP:
         previous, values = values, sweep()
         sweeps += 1
+        jumped = not uniform and sweeps % EXTRAPOLATE_EVERY == 0
+        if jumped:
+            jump(values)  # its gain counts in this sweep's
         scale = max(1.0, np.abs(values).max())
         last, gain = gain, (values - previous).max()
         if gain <= TOL_GAIN * scale:
             break
-        # hand over once converging, unless the sweeps left cost less than a polish
-        if (gain <= TOL_COARSE * scale
+        # hand over once converging, unless the sweeps left cost less than a polish;
+        # a jump's gain gives no see-saw rate, so a jump sweep never hands over
+        if (not jumped and gain <= TOL_COARSE * scale
                 and _sweeps_left(gain, last, TOL_GAIN * scale) > POLISH_SWEEPS):
             break
     newton_steps = 0

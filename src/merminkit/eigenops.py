@@ -219,16 +219,22 @@ def _eigenvalues(basis: EigenBasis, ops):
     The test of ``eigen_basis``, exact: sign rows differ by 0 or +-2, so the
     ``math.fsum`` (Shewchuk, DCG 18, 1997) of each half difference over c * 2^-e,
     in [-2, 2) so that no sum overflows, is zero exactly when the exact sum is.
-    An operator of another qubit count, the zero operator too, fixes no state.
+    An operator of another qubit count, the zero operator too, fixes no state,
+    and neither does one with a NaN or infinite coefficient.
     """
     n, rows, keys = basis.state.n, basis.sign_rows, _candidate_keys(basis.state.n)
     rests = [op.keyed_terms() for op in ops]  # what is left is not a candidate word
     parts = np.array([[r.pop(k, 0j) for k in keys] for r in rests]).view(float)
-    exps = np.frexp(np.abs(parts).max(axis=1))[1] - 1
+    largest = np.abs(parts).max(axis=1)
+    bad = ~np.isfinite(largest)  # a NaN or infinite coefficient
+    np.copyto(parts, 0.0, where=bad[:, None])  # their sums are not read; zeros keep them quiet
+    exps = np.frexp(largest)[1] - 1
     terms = rows * np.ldexp(parts, -exps[:, None]).view(complex)[:, None]
-    for op, rest, e, op_terms in zip(ops, rests, exps.tolist(), terms.view(float).tolist()):
+    for op, rest, b, e, op_terms in zip(ops, rests, bad.tolist(), exps.tolist(),
+                                        terms.view(float).tolist()):
         sums = [complex(math.fsum(row[::2]), math.fsum(row[1::2])) for row in op_terms]
-        yield None if op.n != n or rest or any(sums[1:]) else sums[0] * 2.0 ** e
+        fixes = op.n == n and not rest and not b and not any(sums[1:])
+        yield sums[0] * 2.0 ** e if fixes else None
 
 
 def in_span(op: PauliSum, basis: EigenBasis) -> bool:

@@ -21,6 +21,9 @@ from .pauli import PauliSum, parity_sign, sigma
 from . import eigenops
 
 _CHUNK = 1 << 18  # assignments processed per numpy block
+# largest 4^n times summed monomial count that solve enumerates: n = 13 with one
+# monomial, a few seconds; each qubit more costs 4 times the time and memory
+MAX_WORK = 1 << 26
 # largest absolute coefficient sum of an expression: it bounds the value v, and
 # a v - v**3 fits in int64 for |v| < 2**21 at the largest a of eigenops.CUBICS, 28
 MAX_COEFF_SUM = 1 << 20
@@ -165,11 +168,17 @@ def evaluate(expr: PauliSum, assignment: Assignment) -> int:
 
 
 def solve(system: InstructionalSystem) -> SolveReport:
-    """Exhaustively enumerate all 4^n assignments in lexicographic order."""
+    """Exhaustively enumerate all 4^n assignments in lexicographic order.
+
+    A system is refused at once when its work, 4^n times its summed monomial
+    count (at least one), is above MAX_WORK.
+    """
     n = system.n
-    if n > 16:
-        raise ValueError(f"enumeration over 4^{n} assignments refused (n > 16)")
     total = 1 << (2 * n)
+    monomials = max(1, sum(len(eq.monomials) for eq in system.equations))
+    if total * monomials > MAX_WORK:
+        raise ValueError(f"enumeration of 4^{n} assignments x {monomials} monomials "
+                         f"refused (above the work budget {MAX_WORK})")
     hits = []
     for start in range(0, total, _CHUNK):
         indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)

@@ -1380,3 +1380,122 @@ class TestPrivateReadOnlyRows:
         for rows in (result.setting.x, result.setting.y):
             assert rows.base is None  # owns its data: no view of the (rows, n, 3) starts
             assert rows.shape == (3, 3) and not rows.flags.writeable
+
+
+def seeded_starts(v, starts=32):
+    """The tensor, starts and signs maximize draws for ``v`` at DEFAULT_SEED."""
+    n = v.n
+    rng = np.random.default_rng(bd.DEFAULT_SEED)
+    z = (bd._random_units(rng, (2 * starts, n, 3))
+         + 1j * bd._random_units(rng, (2 * starts, n, 3)))
+    return bd._pauli_expectation_tensor(v), z, np.repeat([1.0, -1.0], starts)
+
+
+class TestExtrapolationJump:
+    @pytest.mark.parametrize("state_id", ["v31", "v41"])
+    def test_no_row_falls_and_a_rejecting_row_keeps_its_bytes(self, state_id):
+        tensor, z, sign = seeded_starts(bd.bound_state(state_id))
+        matrices = [m.astype(complex) for m in qubit_matrices(tensor)]
+        origin = z.copy()
+        accepted = rejected = 0
+        for sweep in range(1, 61):
+            values = bd._seesaw_sweep(matrices, z, sign)
+            if sweep % bd.EXTRAPOLATE_EVERY:
+                continue
+            start, start_values = z.copy(), values.copy()
+            before = einsum_value(tensor, z.real, z.imag, sign)
+            bd._jump(matrices[-1], z, origin, sign, values)
+            after = einsum_value(tensor, z.real, z.imag, sign)
+            assert np.all(after >= before - 1e-12)
+            assert np.all(values >= start_values)
+            took = values > start_values
+            assert np.array_equal(origin, start)
+            assert z[~took].tobytes() == start[~took].tobytes()
+            assert values[~took].tobytes() == start_values[~took].tobytes()
+            assert np.all(np.any(z[took] != start[took], axis=(1, 2)))
+            assert np.allclose(values[took], after[took], rtol=0, atol=1e-12)
+            for part in (z.real, z.imag):
+                assert np.allclose(np.linalg.norm(part, axis=-1), 1.0, rtol=0, atol=1e-14)
+            accepted += np.count_nonzero(took)
+            rejected += np.count_nonzero(~took)
+        assert accepted and rejected
+
+    def test_a_proposal_part_of_zero_or_non_finite_norm_keeps_its_row(self):
+        tensor, z, sign = seeded_starts(bd.bound_state("v31"), starts=3)
+        matrices = [m.astype(complex) for m in qubit_matrices(tensor)]
+        origin = z + 0.25 * (bd._random_units(np.random.default_rng(8900), z.shape) - z)
+        # z + s (z - origin) has a zero x part for origin x = (1 + 1/s) x; on
+        # the unit vector e1 the step's rounding leaves it exactly zero
+        e1, back = np.array([1.0, 0.0, 0.0]), 1.0 + 1.0 / bd.EXTRAPOLATE_STEP
+        z[0, 1], origin[0, 1] = e1 + 1j * z[0, 1].imag, back * e1 + 1j * origin[0, 1].imag
+        z[1, 2], origin[1, 2] = z[1, 2].real + 1j * e1, origin[1, 2].real + 1j * back * e1
+        proposal = z + bd.EXTRAPOLATE_STEP * (z - origin)
+        assert not proposal[0, 1].real.any() and not proposal[1, 2].imag.any()
+        origin[2, 0, 1] = complex(math.nan, 0.0)
+        origin[3, 2, 2] = complex(math.inf, 0.0)
+        start = z.copy()
+        values = np.full(len(z), -math.inf)  # every proposal that can be made is taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bd._jump(matrices[-1], z, origin, sign, values)
+        assert z[:4].tobytes() == start[:4].tobytes()
+        assert np.all(values[:4] == -math.inf)
+        assert np.all(np.any(z[4:] != start[4:], axis=(1, 2)))
+        assert np.allclose(values[4:], einsum_value(tensor, z[4:].real, z[4:].imag, sign[4:]),
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["general", "uniform"])
+    @pytest.mark.parametrize("state_id", ["v31", "v41"])
+    def test_one_seed_gives_identical_bytes(self, state_id, mode):
+        a, b = (bd.maximize(bd.bound_state(state_id), mode=mode, seed=bd.DEFAULT_SEED + 3)
+                for _ in range(2))
+        assert a.value.hex() == b.value.hex() and a.curvature.hex() == b.curvature.hex()
+        assert a.setting.x.tobytes() == b.setting.x.tobytes()
+        assert a.setting.y.tobytes() == b.setting.y.tobytes()
+        for field in ("sweeps", "basin_hits", "newton_steps", "orbit_dim"):
+            assert getattr(a, field) == getattr(b, field)
+
+    @pytest.mark.parametrize("state_id", ["v31", "v41"])
+    def test_jumps_cut_general_sweeps_and_keep_every_basin(self, monkeypatch, state_id):
+        v, target = bd.bound_state(state_id), bd.EXACT_BOUNDS[state_id]
+        jumping = bd.maximize(v, target=target)
+        monkeypatch.setattr(bd, "EXTRAPOLATE_EVERY", bd.SWEEP_CAP + 1)
+        walking = bd.maximize(v, target=target)
+        assert jumping.sweeps < walking.sweeps
+        assert jumping.basin_hits >= walking.basin_hits
+        assert jumping.gap < 1e-12 and walking.gap < 1e-12
+
+    @pytest.mark.parametrize("state_id", ["v31", "v41"])
+    def test_a_jump_sweep_never_hands_over(self, monkeypatch, state_id):
+        seesaw, jump, sweeps_left = bd._seesaw_sweep, bd._jump, bd._sweeps_left
+        jumped, judged_after_jump = [False], []
+
+        def sweep(*args):
+            jumped[0] = False
+            return seesaw(*args)
+
+        def jump_and_mark(*args):
+            jumped[0] = True
+            jump(*args)
+
+        def judge(*args):
+            judged_after_jump.append(jumped[0])
+            return sweeps_left(*args)
+
+        monkeypatch.setattr(bd, "_seesaw_sweep", sweep)
+        monkeypatch.setattr(bd, "_jump", jump_and_mark)
+        monkeypatch.setattr(bd, "_sweeps_left", judge)
+        for offset in range(8):
+            bd.maximize(bd.bound_state(state_id), seed=bd.DEFAULT_SEED + offset)
+        assert judged_after_jump and not any(judged_after_jump)
+
+    @pytest.mark.parametrize("state_id", bd.BOUND_STATE_IDS)
+    def test_uniform_mode_never_jumps(self, monkeypatch, state_id):
+        v = bd.bound_state(state_id)
+        reference = bd.maximize(v, mode="uniform")
+        monkeypatch.setattr(bd, "EXTRAPOLATE_EVERY", 1)
+        monkeypatch.setattr(bd, "_jump", None)  # calling it would fail
+        result = bd.maximize(v, mode="uniform")
+        assert result.value == reference.value and result.sweeps == reference.sweeps
+        assert result.setting.x.tobytes() == reference.setting.x.tobytes()
+        assert result.setting.y.tobytes() == reference.setting.y.tobytes()

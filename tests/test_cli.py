@@ -538,3 +538,18 @@ def test_choices_are_the_tuples_the_library_checks(tmp_path, monkeypatch):
         assert cli.main(["bounds", "--state", "u3", "--mode", mode, "--starts", "1"]) == 0
     with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
         bounds.maximize(states.ghz(3), mode="bogus")
+
+
+def test_a_system_over_the_work_budget_is_one_line_error(tmp_path, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):  # 4^16 assignments would not fit in memory
+        raise AssertionError("enumeration began")
+
+    monkeypatch.setattr(instructional.np, "arange", no_enumeration)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"expr": "s(" + ",".join(["1"] * 16) + ")", "target": 1}]))
+    assert cli.main(["instr", "--system-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "merminkit: error: enumeration of 4^16 assignments x 1 monomials refused "
+        f"(above the work budget {instructional.MAX_WORK})"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -546,3 +547,19 @@ def test_operators_of_the_other_qubit_count_are_never_in_span(state_id):
         assert [eo.in_span(op, basis) for op in ops] == [False] * len(ops)
         # the zero operator of the state's own qubit count fixes it, at eigenvalue 0
         assert eo.in_span(PauliSum.zero(n), basis)
+
+
+@pytest.mark.parametrize("state_id", ["u3", "v31~"])
+@pytest.mark.parametrize("coeff", [math.inf, -math.inf, complex(1, math.nan), math.nan])
+def test_a_non_finite_coefficient_fixes_no_state(state_id, coeff):
+    # u3 has one support pair, so its single sign row leaves no difference to test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for basis in (eo.eigen_basis(eo.catalog_state(state_id)), eo.catalog_basis(state_id)):
+            for op in (sigma(1, 1, 1, coeff=coeff), 0 * sigma(1, 1, 1, coeff=coeff),
+                       sigma(1, 1, 1) + sigma(2, 2, 1, coeff=coeff)):
+                assert not eo.in_span(op, basis), render_sum(op)
+            # a finite operator beside it in one call keeps its eigenvalue
+            values = list(eo._eigenvalues(basis, [sigma(1, 1, 1, coeff=coeff),
+                                                  sigma(1, 1, 1)]))
+            assert values[0] is None and values[1] == 1

@@ -691,3 +691,48 @@ def test_a_certificate_leaves_out_a_redundant_equation(rng):
             assert mask == 0 and sign == -1
             assert ins.solve(system).count == 0
             assert oracle_solutions(system) == []
+
+
+class TestWorkBudget:
+    @staticmethod
+    def single_monomial(n, count=1):
+        words = [(1,) * n, (2, 2) + (1,) * (n - 2), (1,) + (2, 2) + (1,) * (n - 3)]
+        return ins.InstructionalSystem(n, [ins.Equation(sigma(*w), 1) for w in words[:count]])
+
+    def test_twelve_qubits_still_run(self):
+        n = 12
+        assert (1 << 2 * n) <= ins.MAX_WORK
+        report = ins.solve(self.single_monomial(n))
+        assert report.count == 1 << (2 * n - 1)
+        assert report.indices[[0, 1, -1]].tolist() == [0, 3, (1 << 2 * n) - 1]
+
+    @pytest.mark.parametrize("n,equations", [(16, 1), (16, 0), (14, 1), (13, 2)])
+    def test_refused_before_enumerating(self, monkeypatch, n, equations):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumeration began")
+
+        monkeypatch.setattr(ins.np, "arange", no_enumeration)
+        monomials = max(1, equations)
+        with pytest.raises(ValueError) as refused:
+            ins.solve(self.single_monomial(n, equations))
+        assert str(refused.value) == (
+            f"enumeration of 4^{n} assignments x {monomials} monomials refused "
+            f"(above the work budget {ins.MAX_WORK})")
+
+    def test_the_budget_counts_every_monomial_of_every_equation(self, monkeypatch):
+        # two equations of one and two monomials on 3 qubits: work 4^3 x 3
+        system = ins.InstructionalSystem(3, [
+            ins.Equation(sigma(1, 1, 1), 1),
+            ins.Equation(sigma(1, 2, 2) + sigma(2, 1, 2), 0)])
+        monkeypatch.setattr(ins, "MAX_WORK", 64 * 3)
+        assert ins.solve(system).indices.tolist() == sorted(
+            a.to_index() for a in oracle_solutions(system))
+        monkeypatch.setattr(ins, "MAX_WORK", 64 * 3 - 1)
+        with pytest.raises(ValueError, match="x 3 monomials refused"):
+            ins.solve(system)
+
+    def test_every_catalog_device_is_within_budget(self):
+        for device in ins.devices():
+            system = ins.device_system(device)
+            work = 4 ** system.n * sum(len(eq.monomials) for eq in system.equations)
+            assert work <= ins.MAX_WORK, device

@@ -508,7 +508,7 @@ def test_parity_sign_on_every_value_below_two_to_the_bits(bits):
 
 
 def test_parity_sign_on_seeded_four_byte_values():
-    # solve refuses n > 16, so its indices and masks stay below 2**32
+    # instructional.MAX_WORK caps solve at n = 13, so its indices and masks stay below 2**32
     values = np.random.default_rng(20261019).integers(0, 1 << 32, 20000, dtype=np.int64)
     assert parity_sign(values, 32).tolist() == [
         (-1) ** bin(k).count("1") for k in values.tolist()]

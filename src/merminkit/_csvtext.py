@@ -138,14 +138,12 @@ def csv_texts(axis: np.ndarray, values, block_rows: int) -> Iterator[str]:
     the real ``values``, whose rows and columns are sampled at ``axis``."""
     yield "x3,y3,mu\n"
     r = len(axis)
-    # each axis label, packed to the left of whole words, ends in "," for "\n"
-    raw = np.empty((r, 3), "<u8")
-    _g6_words(axis, raw)
-    raw = raw.view(np.uint8)
-    raw[raw == ord("\n")] = ord(",")
-    n = -(-int(np.count_nonzero(raw, axis=1).max(initial=0)) // 8)
-    labels = np.take_along_axis(raw, np.argsort(raw == 0, axis=1, kind="stable"), axis=1)
-    labels = labels[:, :8 * n].copy().view("<u8")
+    # each axis label and its ",", NUL-padded to whole words; only r of them.  A
+    # view would keep the joined bytes alive, which raised a pass's peak RSS
+    texts = [b"%.6g," % v for v in axis.tolist()]
+    n = -(-max(map(len, texts)) // 8)
+    labels = np.frombuffer(b"".join(t.ljust(8 * n, b"\0") for t in texts), "<u8").reshape(r, n)
+    labels = labels.copy()
     for top in range(0, r, block_rows):
         yield _block_text(labels[top:top + block_rows], labels,
                           np.asarray(values[top:top + block_rows], dtype=float))

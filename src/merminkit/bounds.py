@@ -361,7 +361,7 @@ def _pair_stack(tensor: np.ndarray) -> np.ndarray:
                      for a, b, o in zip(first, second, others)], dtype=complex)
 
 
-def _tangent_model(paired, x, y, sign, uniform: bool):
+def _tangent_model(paired, z, sign, uniform: bool):
     """Value, Riemannian gradient and Hessian of sign * mu per row.
 
     Tangent coordinates are, per qubit a, two along the frame Bx_a of x_a
@@ -377,21 +377,21 @@ def _tangent_model(paired, x, y, sign, uniform: bool):
     first pair and the sums are n Re(F^T c) and n(n-1) Re(F^T C F) - n
     diag(radial).  Returns the values (rows,), gradients (rows, 4m),
     Hessians (rows, 4m, 4m) and the frames F (3, 4, m, rows), m = 1 if
-    ``uniform``.  ``paired`` is ``_pair_stack(tensor)``.
+    ``uniform``.  ``paired`` is ``_pair_stack(tensor)`` and ``z`` the
+    complex settings x + iy, (rows, n, 3).
     """
-    rows, n, _ = x.shape
+    rows, n, _ = z.shape
     if rows == 1:
         # one column would make ``paired @ rest`` a matrix-vector product,
         # which rounds differently; a twin row keeps the batched product's bits
-        twin = _tangent_model(paired, np.repeat(x, 2, axis=0), np.repeat(y, 2, axis=0),
-                              np.repeat(sign, 2), uniform)
+        twin = _tangent_model(paired, np.repeat(z, 2, axis=0), np.repeat(sign, 2), uniform)
         return *(part[:1] for part in twin[:3]), twin[3][..., :1]
     # rows last, so that each elementwise step runs over every row at once
-    z = x.T + 1j * y.T  # (3, n, rows)
+    z = z.T  # (3, n, rows)
     if uniform:
         # the qubits share one setting, every C_ab is the C of pair (0, 1)
         # and every c_a is C z
-        x, y, z = x[:, :1], y[:, :1], z[:, :1]
+        z = z[:, :1]
         rest = z[:, 0]
         for _ in range(n - 3):
             rest = (rest[:, None] * z[:, 0]).reshape(-1, rows)
@@ -408,9 +408,9 @@ def _tangent_model(paired, x, y, sign, uniform: bool):
         c = np.concatenate((np.sum(blocks[:1] * z[None, None, :, 1], axis=2),
                             np.sum(blocks[:n - 1] * z[None, :, None, 0], axis=1)))
         c = c.transpose(1, 0, 2)  # (3, n, rows)
-    frames = np.concatenate((_tangent_frames(x.T), 1j * _tangent_frames(y.T)), axis=1)
+    frames = np.concatenate((_tangent_frames(z.real), 1j * _tangent_frames(z.imag)), axis=1)
     grad = np.sum(frames * c[:, None], axis=0).real  # (4, m, rows)
-    radial = np.stack((np.sum(x.T * c.real, axis=0), -np.sum(y.T * c.imag, axis=0)))
+    radial = np.stack((np.sum(z.real * c.real, axis=0), -np.sum(z.imag * c.imag, axis=0)))
     # Re(F_a^T C_ab F_b) for every pair; einsum keeps no product temporaries
     half = np.einsum("jpqr,jkqr->pkqr", frames[:, :, first], blocks.transpose(1, 2, 0, 3))
     pair_hess = np.einsum("pkqr,ksqr->psqr", half, frames[:, :, second]).real
@@ -431,27 +431,28 @@ def _tangent_model(paired, x, y, sign, uniform: bool):
             hess.reshape(4 * m, 4 * m, rows).transpose(2, 0, 1), frames)
 
 
-def _retract(x, y, frames, step):
-    """Settings moved by tangent ``step`` along ``frames``, back on the spheres."""
-    moves = step.reshape(x.shape[0], -1, 4).transpose(2, 1, 0)
-    # an m = 1 frame moves every qubit alike
-    moved = (x + 1j * y).T + np.sum(frames * moves, axis=1)
-    new = np.stack((moved.real, moved.imag))
-    new /= np.linalg.norm(new, axis=1, keepdims=True)
-    return new[0].T, new[1].T
+def _retract(z, frames, step):
+    """Settings ``z`` moved by tangent ``step`` along ``frames``, back on the spheres."""
+    moves = step.reshape(z.shape[0], -1, 4).transpose(2, 1, 0)
+    # an m = 1 frame moves every qubit alike; the sum keeps z's rows-first layout
+    new = z + np.sum(frames * moves, axis=1).T
+    parts = new.view(float).reshape(*z.shape, 2)  # (rows, n, 3, re/im)
+    squares = parts * parts  # summed as np.linalg.norm sums them, bit for bit
+    parts /= np.sqrt(squares[:, :, 0] + squares[:, :, 1] + squares[:, :, 2])[:, :, None]
+    return new
 
 
-def _newton_polish(paired, x, y, sign, uniform: bool, tol: float):
+def _newton_polish(paired, z, sign, uniform: bool, tol: float):
     """Damped Newton steps until no row gains more than ``tol``.
 
     Each step solves (delta I - H) step = grad, where delta = DAMPING *
     max|H| only keeps the solve regular along the flat orbit directions, in
     which the gradient has no component.  A row takes its step only if that
     raises its value, and retires once a step gains it ``tol`` or less: a
-    rejected step would be proposed again unchanged.  Updates x and y in place;
-    returns the values and the number of steps (``paired`` as in ``_tangent_model``).
+    rejected step would be proposed again unchanged.  Updates z in place;
+    returns the values and the number of steps (arguments as in ``_tangent_model``).
     """
-    values, grad, hess, frames = _tangent_model(paired, x, y, sign, uniform)
+    values, grad, hess, frames = _tangent_model(paired, z, sign, uniform)
     diag = np.arange(grad.shape[1])
     active = np.arange(values.size)
     steps = 0
@@ -463,14 +464,13 @@ def _newton_polish(paired, x, y, sign, uniform: bool, tol: float):
             step = np.linalg.solve(system, grad[..., None])
         except np.linalg.LinAlgError:  # an exactly singular row: keep the settings
             break
-        new_x, new_y = _retract(x[active], y[active], frames, step)
-        new_values, grad, hess, frames = _tangent_model(
-            paired, new_x, new_y, sign[active], uniform)
+        new = _retract(z[active], frames, step)
+        new_values, grad, hess, frames = _tangent_model(paired, new, sign[active], uniform)
         steps += 1
         gain = new_values - values[active]
         up = gain > 0
         moved = active[up]
-        x[moved], y[moved], values[moved] = new_x[up], new_y[up], new_values[up]
+        z[moved], values[moved] = new[up], new_values[up]
         # only rows that moved by more than tol go on, from their new model
         going = gain > tol
         active, grad, hess = active[going], grad[going], hess[going]
@@ -572,7 +572,6 @@ def maximize(
     rng = np.random.default_rng(seed)
     rows = 2 * starts
     z = _random_units(rng, (rows, n, 3)) + 1j * _random_units(rng, (rows, n, 3))
-    x, y = z.real, z.imag  # views; the sweeps update z in place
     sign = np.repeat([1.0, -1.0], starts)
     uniform = mode == "uniform"
     # the sweep matrices are complex once per call, not cast in every contraction
@@ -613,15 +612,15 @@ def maximize(
         size = POLISH_ROWS * n * n if uniform else POLISH_ROWS
         for block in range(0, rows, size):
             part = slice(block, block + size)
-            values[part], steps = _newton_polish(paired, x[part], y[part], sign[part],
-                                                 uniform, TOL_GAIN * scale)
+            values[part], steps = _newton_polish(paired, z[part], sign[part], uniform,
+                                                 TOL_GAIN * scale)
             newton_steps = max(newton_steps, steps)
 
     best = int(np.argmax(values))
     at_best = slice(best, best + 1)
-    hess = _tangent_model(paired, x[at_best], y[at_best], sign[at_best], uniform)[2]
+    hess = _tangent_model(paired, z[at_best], sign[at_best], uniform)[2]
     orbit_dim, curvature = _curvature_signal(hess[0])
-    setting = MeasurementSetting(x[best], y[best])
+    setting = MeasurementSetting(z[best].real, z[best].imag)
     # report the dense-matrix value at the winning setting
     value = abs(expectation(v, setting))
     return BoundResult(

@@ -305,7 +305,7 @@ def _render_coeff(c: complex) -> str:
         if c.imag == -1:
             return "-i"
         return _fmt_real(c.imag) + "i"
-    sign = "+" if c.imag > 0 else "-"
+    sign = "-" if c.imag < 0 else "+"  # a NaN part is not negative
     return f"({_fmt_real(c.real)}{sign}{_fmt_real(abs(c.imag))}i)"
 
 

@@ -76,7 +76,8 @@ class StateVector:
         return self.n == other.n and bool(np.array_equal(self.amps, other.amps))
 
     def __repr__(self) -> str:
-        nonzero = {i: self.amps[i] for i in range(1 << self.n) if self.amps[i] != 0}
+        # Python complex numbers, whose repr does not depend on the numpy version
+        nonzero = {i: a for i, a in enumerate(self.amps.tolist()) if a != 0}
         return f"StateVector(n={self.n}, nonzero={nonzero})"
 
     def to_json_dict(self) -> dict:

@@ -584,8 +584,8 @@ class TestNewtonPolish:
     @pytest.mark.parametrize("mode", ["general", "uniform"])
     def test_model_matches_finite_differences(self, n, mode):
         tensor, x, y, sign = self.setup_rows(n, mode, 7300 + n)
-        value, grad, hess, frames = bd._tangent_model(bd._pair_stack(tensor), x, y, sign,
-                                                      mode == "uniform")
+        value, grad, hess, frames = bd._tangent_model(bd._pair_stack(tensor), x + 1j * y,
+                                                      sign, mode == "uniform")
         dim = 4 if mode == "uniform" else 4 * n
         assert grad.shape == (3, dim) and hess.shape == (3, dim, dim)
         assert np.allclose(value, einsum_value(tensor, x, y, sign), atol=1e-12)
@@ -619,9 +619,10 @@ class TestNewtonPolish:
         previous = einsum_value(tensor, x, y, sign)
         for cap in range(1, 6):
             monkeypatch.setattr(bd, "NEWTON_CAP", cap)
-            xc, yc = x.copy(), y.copy()
-            values, steps = bd._newton_polish(bd._pair_stack(tensor), xc, yc, sign,
+            zc = x + 1j * y
+            values, steps = bd._newton_polish(bd._pair_stack(tensor), zc, sign,
                                               mode == "uniform", 1e-15)
+            xc, yc = zc.real, zc.imag
             assert steps <= cap
             current = einsum_value(tensor, xc, yc, sign)
             assert np.allclose(values, current, atol=1e-12)
@@ -635,9 +636,10 @@ class TestNewtonPolish:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        xc, yc = x.copy(), y.copy()
-        values, steps = bd._newton_polish(bd._pair_stack(tensor), xc, yc, sign,
+        zc = x + 1j * y
+        values, steps = bd._newton_polish(bd._pair_stack(tensor), zc, sign,
                                           False, 1e-15)
+        xc, yc = zc.real, zc.imag
         assert steps == 0
         assert np.array_equal(xc, x) and np.array_equal(yc, y)
         assert np.allclose(values, einsum_value(tensor, x, y, sign), atol=1e-12)
@@ -922,10 +924,10 @@ class TestOneRowTangentModel:
         if uniform:
             x[:], y[:] = x[:, :1], y[:, :1]
         sign = rng.choice([1.0, -1.0], size=rows)
-        value, grad, hess, frames = bd._tangent_model(bd._pair_stack(tensor), x, y, sign,
-                                                      uniform)
+        value, grad, hess, frames = bd._tangent_model(bd._pair_stack(tensor), x + 1j * y,
+                                                      sign, uniform)
         for r in range(rows):
-            one = bd._tangent_model(bd._pair_stack(tensor), x[r:r + 1], y[r:r + 1],
+            one = bd._tangent_model(bd._pair_stack(tensor), x[r:r + 1] + 1j * y[r:r + 1],
                                     sign[r:r + 1], uniform)
             assert one[0].tobytes() == value[r:r + 1].tobytes(), r
             assert one[1].tobytes() == grad[r:r + 1].tobytes(), r
@@ -1085,7 +1087,7 @@ class TestUniformAscent:
             n = bd.bound_state(state).n
             tensor = bd._symmetrized(bd._pauli_expectation_tensor(bd.bound_state(state)))
             _, x, y, sign = TestNewtonPolish.setup_rows(n, "uniform", 9310, rows=40)
-        new = bd._tangent_model(bd._pair_stack(tensor), x, y, sign, True)
+        new = bd._tangent_model(bd._pair_stack(tensor), x + 1j * y, sign, True)
         old = old_uniform_model(tensor, x, y, sign)
         for got, want in zip(new, old):
             assert got.shape == want.shape

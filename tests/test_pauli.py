@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from merminkit import eigenops, instructional
+from merminkit import eigenops, instructional, pauli
 from merminkit.cli import _parse_coeff_list
 from merminkit.eigenops import tau3, tau4, tau4_i, tau4_ij
 from merminkit.pauli import (
@@ -212,6 +212,11 @@ class TestEquality:
         assert a != b and b != a
         assert not a == b
 
+    def test_allclose_admits_a_difference_exactly_at_its_tolerance(self):
+        zero = PauliSum.zero(1)
+        assert sigma(1, coeff=1e-12).allclose(zero)
+        assert not sigma(1, coeff=math.nextafter(1e-12, 1)).allclose(zero)
+
 
 class TestCommutes:
     def test_sigma111_commutes_with_tau3(self):
@@ -258,6 +263,12 @@ class TestCommutes:
             for i, sa in enumerate(scaled):
                 for sb in scaled[i + 1:]:
                     assert sa.commutes(sb), (scale, sa, sb)
+
+    def test_a_word_exactly_at_its_bound_counts_as_zero(self, monkeypatch):
+        # both commutator words sum to 0.4 against contributions of 1 and 0.6,
+        # exactly 0.25 times their summed moduli
+        monkeypatch.setattr(pauli, "TOL_ALG", 0.25)
+        assert (sigma(1, 3) + sigma(2, 1, coeff=0.6)).commutes(sigma(3, 0) + sigma(0, 2))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_even_s2_words_all_commute(self, n):
@@ -393,6 +404,24 @@ def test_parse_keeps_exact_cancellation_and_small_kept_coefficients():
 def test_parse_refuses_terms_that_cancel_inexactly(text):
     with pytest.raises(ValueError, match="nonzero but not above 1e-12"):
         parse_sum(text)
+
+
+def test_parse_refuses_terms_that_sum_exactly_to_the_tolerance():
+    text = "2.0000000000000004e-12*s(1) - 1.0000000000000004e-12*s(1)"
+    assert 2.0000000000000004e-12 - 1.0000000000000004e-12 == 1e-12
+    with pytest.raises(ValueError, match="nonzero but not above 1e-12"):
+        parse_sum(text)
+
+
+def test_a_nan_coefficient_renders_without_a_minus_sign_and_does_not_parse():
+    # a NaN part is not negative, so its joiner is "+"
+    nan_word = 0 * sigma(1, coeff=math.inf)
+    half_nan = sigma(1, coeff=complex(1, math.nan))
+    assert repr(nan_word) == "PauliSum('(nan+nani)*s(1)')"
+    assert render_sum(half_nan) == "(1+nani)*s(1)"
+    for op in (nan_word, half_nan):
+        with pytest.raises(ValueError, match="is not a number"):
+            parse_sum(render_sum(op))
 
 
 def test_parse_keeps_an_explicit_zero_coefficient_as_nothing():

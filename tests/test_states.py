@@ -203,6 +203,13 @@ class TestStateVector:
         v = StateVector(3, amps)
         assert StateVector.from_json_dict(v.to_json_dict()) == v
 
+    def test_allclose_admits_a_difference_exactly_at_its_tolerance(self):
+        assert StateVector(1, [1e-12, 0]).allclose(StateVector(1, [0, 0]))
+
+    def test_repr_writes_python_complex_numbers(self):
+        # numpy scalars would print as np.complex128(1+0j) under numpy 2
+        assert repr(ghz(3)) == "StateVector(n=3, nonzero={0: (1+0j), 7: (1+0j)})"
+
     def test_norm_sq(self):
         assert dicke(3, 1).norm_sq == 3.0
         assert ghz(4).norm_sq == 2.0
